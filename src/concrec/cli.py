@@ -25,7 +25,12 @@ from .asymptotics import (
     profile,
     prop3_limits,
 )
-from .conversion import brute_force_fidelity, concentration_fidelity, dilution_fidelity
+from .conversion import (
+    brute_force_fidelity,
+    concentration_fidelity,
+    dense_power_spectrum,
+    dilution_fidelity,
+)
 from .errors import InvalidSpec, IoFailure, ParamError
 from .spectrum import SchmidtVector, log2_prefix_sqrt_mass, make_schmidt, power_spectrum
 from .tradeoff import delta_curve, generalized_mcre, max_recoverable, mcre
@@ -331,32 +336,6 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _dense_spectrum(sv: SchmidtVector, n: int) -> np.ndarray:
-    """All rank^n eigenvalue products, sorted descending (validation only)."""
-    spec = np.ones(1)
-    base = np.asarray(sv.probs)
-    for _ in range(n):
-        spec = np.multiply.outer(spec, base).ravel()
-    return np.sort(spec)[::-1]
-
-
-def _dense_concentration_error(p: np.ndarray, L: int) -> float:
-    prefix = np.concatenate(([0.0], np.cumsum(p)))
-    total = float(prefix[-1])
-    J = L - 1
-    for j in range(L):
-        tail = total - float(prefix[j]) if j < p.size else 0.0
-        nxt = float(p[j]) if j < p.size else 0.0
-        if tail / (L - j) >= nxt * (1.0 - 1e-12) - 1e-15:
-            J = j
-            break
-    sqrt_prefix = float(np.sqrt(p[:J]).sum())
-    tail = total - float(prefix[J]) if J < p.size else 0.0
-    tail = max(tail, 0.0)
-    fidelity = sqrt_prefix / math.sqrt(L) + math.sqrt((1.0 - J / L) * tail)
-    return 1.0 - min(fidelity, 1.0) ** 2
-
-
 class _Report:
     def __init__(self) -> None:
         self.failed = False
@@ -413,11 +392,8 @@ def _suite_identities() -> _Report:
         svd = make_schmidt(probs)
         for n in range(0, 13):
             ls = power_spectrum(svd, n)
-            dense = _dense_spectrum(svd, n)
-            expanded = np.repeat(
-                np.power(2.0, ls.log2_eigenvalues),
-                [lv.multiplicity for lv in ls.levels],
-            )
+            dense = dense_power_spectrum(svd.probs, n)
+            expanded = np.repeat(np.power(2.0, ls.log2_eigenvalues), np.diff(ls.starts))
             dense_dev = max(dense_dev, float(np.max(np.abs(expanded - dense))))
     report.check("leveled spectrum equals dense enumeration", dense_dev, 1e-12)
 

@@ -12,6 +12,7 @@ so dimensions like 2^3000 are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -23,8 +24,6 @@ from .spectrum import (
     LeveledSpectrum,
     SchmidtVector,
     _exp2,
-    boundary_cut,
-    boundary_index_below,
     log2_int,
     power_spectrum,
     prefix_mass,
@@ -67,6 +66,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
     """
     if L < 1:
         raise InvalidDimension(f"target dimension must be >= 1, got {L}")
+    starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues
     n_levels = ls.num_levels
@@ -76,9 +76,10 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
         threshold = eigs[i] if i < n_levels else NEG_INF
         if tail == NEG_INF:
             return threshold == NEG_INF
-        return tail - log2_int(L - boundary_cut(ls, i)) >= threshold
+        return tail - log2_int(L - starts[i]) >= threshold
 
-    i_max = boundary_index_below(ls, L - 1)
+    # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
+    i_max = bisect_right(starts, L - 1) - 1
     lo, hi = 0, i_max
     while lo < hi:
         mid = (lo + hi) // 2
@@ -91,7 +92,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
         # below L; float rounding can only miss it at an exact tie, where
         # either cut choice yields the same fidelity.
         lo = i_max
-    return lo, boundary_cut(ls, lo)
+    return lo, starts[lo]
 
 
 def flatten_index(ls: LeveledSpectrum, L: int) -> int:
@@ -153,6 +154,19 @@ def dilution_error(sv: SchmidtVector, N: int, m: int) -> float:
     if m < 1:
         raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
     return dilution_fidelity(power_spectrum(sv, N), 1 << m).error
+
+
+def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:
+    """All rank^n eigenvalue products of the n-fold power, sorted descending.
+
+    The dense reference for small n that the leveled spectrum is checked
+    against.
+    """
+    spec = np.ones(1)
+    base = np.asarray(probs, dtype=np.float64)
+    for _ in range(n):
+        spec = np.multiply.outer(spec, base).ravel()
+    return np.sort(spec)[::-1]
 
 
 def _construct_eta(probs: np.ndarray, L: int) -> np.ndarray:

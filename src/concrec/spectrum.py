@@ -5,18 +5,20 @@ probabilities (p_1, ..., p_r) are the products prod_i p_i^{k_i} taken over
 compositions (k_1, ..., k_r) of n.  Entries sharing the same exponent
 pattern against the distinct base probabilities form one *level* (a type
 class): a single eigenvalue with an exact multiplicity.  The whole spectrum
-is therefore stored as a short list of (log2 eigenvalue, multiplicity)
-levels.  Multiplicities and cumulative counts reach 2^3000 and beyond, so
-all counting is exact integer arithmetic; masses live in log2 space and are
-accumulated with running log-add in double precision, which keeps the
-total-mass drift around 1e-12 for spectra with thousands of levels.
+is therefore stored as a few per-level columns: log2 eigenvalues, exact
+level start counts, and log2 prefix and suffix masses.  Multiplicities
+and counts reach 2^3000 and beyond, so all counting is exact integer
+arithmetic; masses live in log2 space and are accumulated with running
+log-add in double precision, which keeps the total-mass drift around 1e-12
+for spectra with thousands of levels.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -127,8 +129,11 @@ class Level:
 
 @dataclass(frozen=True, eq=False)
 class LeveledSpectrum:
-    """Sorted spectrum of ``(Tr_B psi)^{(x)n}`` stored per level.
+    """Sorted spectrum of ``(Tr_B psi)^{(x)n}`` stored as per-level columns.
 
+    ``starts`` holds exact counts with a leading 0: level ``i`` covers the
+    sorted entries ``starts[i] .. starts[i+1] - 1``, so its multiplicity is
+    ``starts[i+1] - starts[i]`` and ``starts[-1]`` is the total count.
     ``prefix_log2_mass[i]`` is log2 of the total eigenvalue mass of levels
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
@@ -139,8 +144,7 @@ class LeveledSpectrum:
 
     base: SchmidtVector
     copies: int
-    levels: tuple[Level, ...]
-    cumulative_counts: tuple[int, ...]
+    starts: tuple[int, ...]
     log2_eigenvalues: np.ndarray
     prefix_log2_mass: np.ndarray
     prefix_log2_sqrt_mass: np.ndarray
@@ -148,30 +152,20 @@ class LeveledSpectrum:
 
     @property
     def num_levels(self) -> int:
-        return len(self.levels)
+        return len(self.log2_eigenvalues)
 
     @property
     def total_count(self) -> int:
-        return self.cumulative_counts[-1]
+        return self.starts[-1]
 
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multinomial(n: int, exps: Sequence[int]) -> int:
-    result = 1
-    remaining = n
-    for e in exps:
-        result *= math.comb(remaining, e)
-        remaining -= e
-    return result
+    @property
+    def levels(self) -> tuple[Level, ...]:
+        """One :class:`Level` per level, built from the columns on each access."""
+        s = self.starts
+        return tuple(
+            Level(eig, s[i + 1] - s[i], s[i + 1])
+            for i, eig in enumerate(self.log2_eigenvalues.tolist())
+        )
 
 
 def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
@@ -187,45 +181,33 @@ def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
     return values, sizes
 
 
-def _enumerate_levels(
-    sv: SchmidtVector, n: int
-) -> list[tuple[float, tuple[int, ...], int]]:
-    """(log2 eigenvalue, exponent vector, multiplicity) per level, sorted.
+def _types(sizes: Sequence[int], n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(exponent vector e, multiplicity) of every type class of n copies.
 
-    The multiplicity of exponent vector e over distinct values with group
-    sizes g is multinomial(n; e) * prod_i g_i^(e_i): choose which tensor
-    factors fall in each value class, then which of the g_i equal entries
-    each factor uses.  Numerically equal eigenvalues from different exponent
-    vectors are deliberately kept separate; every downstream quantity
-    depends only on the eigenvalue multiset, and the exponent vector gives a
-    deterministic secondary sort key.
+    Over distinct values with group sizes g the multiplicity is
+    multinomial(n; e) * prod_i g_i^(e_i): choose which tensor factors fall
+    in each value class, then which of the g_i equal entries each factor
+    uses.  It splits into C(n, e_1) * g_1^(e_1) times the multiplicity of
+    the remaining groups on n - e_1 copies, and the first factor follows
+    e_1 down from n by an exact integer ratio.  When one group is left, its
+    power g_2^(n - e_1) rides along in the same ratio, so a level of two
+    groups costs products of a big integer by small ones only, never a
+    fresh big power times a big factor.
     """
-    values, sizes = _distinct_groups(sv)
-    d = len(values)
-    log2_values = [math.log2(v) for v in values]
-    entries: list[tuple[float, tuple[int, ...], int]] = []
-    if d == 1:
-        entries.append((n * log2_values[0], (n,), sizes[0] ** n))
-    elif d == 2:
-        # Binomial ladder: mult(k) = C(n,k) * g1^(n-k) * g2^k, updated by an
-        # exact integer ratio per step.
-        g1, g2 = sizes
-        lv1, lv2 = log2_values
-        mult = g1**n
-        for k in range(n + 1):
-            entries.append(((n - k) * lv1 + k * lv2, (n - k, k), mult))
-            if k < n:
-                mult = mult * (n - k) * g2 // ((k + 1) * g1)
-    else:
-        for exps in _compositions(n, d):
-            mult = _multinomial(n, exps)
-            for g, e in zip(sizes, exps):
-                if g > 1 and e:
-                    mult *= g**e
-            log2_eig = math.fsum(e * lv for e, lv in zip(exps, log2_values))
-            entries.append((log2_eig, exps, mult))
-    entries.sort(key=lambda item: (-item[0], item[1]))
-    return entries
+    g, rest = sizes[0], sizes[1:]
+    if not rest:
+        yield (n,), g**n
+        return
+    last = len(rest) == 1
+    h = rest[0] if last else 1
+    head = g**n
+    for e in range(n, -1, -1):
+        if last:
+            yield (e, n - e), head
+        else:
+            for exps, mult in _types(rest, n - e):
+                yield (e, *exps), head * mult
+        head = head * e * h // ((n - e + 1) * g)
 
 
 def power_spectrum(
@@ -241,32 +223,38 @@ def power_spectrum(
     """
     if n < 0:
         raise ValueError("copy count must be non-negative")
-    d = len(_distinct_groups(sv)[0])
-    n_levels = math.comb(n + d - 1, d - 1)
+    values, sizes = _distinct_groups(sv)
+    n_levels = math.comb(n + len(values) - 1, len(values) - 1)
     if n_levels > max_levels:
         raise RankTooLargeForN(
             f"{n_levels} levels for rank {sv.rank} at n={n}, limit {max_levels}"
         )
 
-    entries = _enumerate_levels(sv, n)
-    levels: list[Level] = []
-    cumcounts: list[int] = []
-    running = 0
-    for log2_eig, _exps, mult in entries:
-        running += mult
-        levels.append(Level(log2_eig, mult, running))
-        cumcounts.append(running)
-    if running != sv.rank**n:
+    # Numerically equal eigenvalues from different exponent vectors are
+    # deliberately kept separate: every downstream quantity depends only on
+    # the eigenvalue multiset, and the exponent vector gives a deterministic
+    # secondary sort key.  fsum rounds each eigenvalue once from its exact
+    # terms for any number of distinct values, and gives +0.0 at n = 0.
+    log2_values = [math.log2(v) for v in values]
+    entries = sorted(
+        (
+            (math.fsum(e * lv for e, lv in zip(exps, log2_values)), exps, mult)
+            for exps, mult in _types(sizes, n)
+        ),
+        key=lambda item: (-item[0], item[1]),
+    )
+    starts = tuple(accumulate((mult for _, _, mult in entries), initial=0))
+    if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
 
-    log2_eigs = np.array([lv.log2_eigenvalue for lv in levels], dtype=np.float64)
-    log2_mults = np.array([log2_int(lv.multiplicity) for lv in levels], dtype=np.float64)
+    log2_eigs = np.array([eig for eig, _, _ in entries], dtype=np.float64)
+    log2_mults = np.array([log2_int(mult) for _, _, mult in entries], dtype=np.float64)
     level_log2_mass = log2_mults + log2_eigs
     level_log2_sqrt = log2_mults + 0.5 * log2_eigs
 
     prefix_mass = np.logaddexp2.accumulate(level_log2_mass)
     prefix_sqrt = np.logaddexp2.accumulate(level_log2_sqrt)
-    suffix = np.empty(len(levels) + 1, dtype=np.float64)
+    suffix = np.empty(len(entries) + 1, dtype=np.float64)
     suffix[-1] = NEG_INF
     suffix[:-1] = np.logaddexp2.accumulate(level_log2_mass[::-1])[::-1]
     if abs(prefix_mass[-1]) > _MASS_GUARD:
@@ -277,8 +265,7 @@ def power_spectrum(
     return LeveledSpectrum(
         base=sv,
         copies=n,
-        levels=tuple(levels),
-        cumulative_counts=tuple(cumcounts),
+        starts=starts,
         log2_eigenvalues=log2_eigs,
         prefix_log2_mass=prefix_mass,
         prefix_log2_sqrt_mass=prefix_sqrt,
@@ -286,25 +273,34 @@ def power_spectrum(
     )
 
 
-def _locate(ls: LeveledSpectrum, count: int) -> int:
-    """Index of the level containing the ``count``-th sorted entry (1-based)."""
-    return bisect_left(ls.cumulative_counts, count)
+def _log2_split(
+    ls: LeveledSpectrum, count: int, whole: np.ndarray, weight: float, tail: bool
+) -> float:
+    """log2 of the sum of eigenvalue**weight over the top ``count`` entries,
+    or over the entries after them when ``tail`` is set.
+
+    ``whole`` holds the matching sums over whole levels: a prefix column for
+    the top entries, ``suffix_log2_mass`` for the rest.  Needs
+    ``0 <= count <= total``, and ``count >= 1`` for the top entries.
+    """
+    starts = ls.starts
+    i = bisect_right(starts, count) - 1  # the level that holds entry count + 1
+    kept = count - starts[i]  # entries of level i among the top count
+    if kept == 0:
+        return float(whole[i] if tail else whole[i - 1])
+    if tail:
+        rest, piece = whole[i + 1], starts[i + 1] - count
+    else:
+        rest, piece = (whole[i - 1] if i else NEG_INF), kept
+    partial = log2_int(piece) + weight * ls.log2_eigenvalues[i]
+    return float(np.logaddexp2(rest, partial))
 
 
 def log2_prefix_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the sum of the top ``count`` eigenvalues; clamps beyond total."""
     if count <= 0:
         return NEG_INF
-    if count >= ls.total_count:
-        return float(ls.prefix_log2_mass[-1])
-    idx = _locate(ls, count)
-    if count == ls.cumulative_counts[idx]:
-        return float(ls.prefix_log2_mass[idx])
-    before = ls.cumulative_counts[idx - 1] if idx > 0 else 0
-    partial = log2_int(count - before) + ls.log2_eigenvalues[idx]
-    if idx == 0:
-        return float(partial)
-    return float(np.logaddexp2(ls.prefix_log2_mass[idx - 1], partial))
+    return _log2_split(ls, min(count, ls.total_count), ls.prefix_log2_mass, 1.0, False)
 
 
 def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
@@ -315,27 +311,13 @@ def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
         raise CountExceedsTotal(f"count {count} exceeds total {ls.total_count}")
     if count == 0:
         return NEG_INF
-    idx = _locate(ls, count)
-    if count == ls.cumulative_counts[idx]:
-        return float(ls.prefix_log2_sqrt_mass[idx])
-    before = ls.cumulative_counts[idx - 1] if idx > 0 else 0
-    partial = log2_int(count - before) + 0.5 * ls.log2_eigenvalues[idx]
-    if idx == 0:
-        return float(partial)
-    return float(np.logaddexp2(ls.prefix_log2_sqrt_mass[idx - 1], partial))
+    return _log2_split(ls, count, ls.prefix_log2_sqrt_mass, 0.5, False)
 
 
 def log2_tail_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the eigenvalue mass strictly after the top ``count`` entries."""
-    if count <= 0:
-        return float(ls.suffix_log2_mass[0])
-    if count >= ls.total_count:
-        return NEG_INF
-    idx = _locate(ls, count)
-    if count == ls.cumulative_counts[idx]:
-        return float(ls.suffix_log2_mass[idx + 1])
-    remaining = log2_int(ls.cumulative_counts[idx] - count) + ls.log2_eigenvalues[idx]
-    return float(np.logaddexp2(remaining, ls.suffix_log2_mass[idx + 1]))
+    count = min(max(count, 0), ls.total_count)
+    return _log2_split(ls, count, ls.suffix_log2_mass, 1.0, True)
 
 
 def prefix_mass(ls: LeveledSpectrum, count: int) -> float:
@@ -360,26 +342,8 @@ def prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
 def level_boundaries(ls: LeveledSpectrum) -> list[tuple[int, float]]:
     """Candidate cut positions for the flatten-index search.
 
-    Returns ``(cut, log2 eigenvalue of the entry just after the cut)`` pairs:
-    position 0 plus each level's cumulative count, the final pair carrying a
-    ``-inf`` eigenvalue because nothing follows the last level.
+    Returns ``(cut, log2 eigenvalue of the entry just after the cut)`` pairs,
+    one per entry of ``starts``, the final pair carrying a ``-inf``
+    eigenvalue because nothing follows the last level.
     """
-    pairs = [(0, float(ls.log2_eigenvalues[0]))]
-    for i, cum in enumerate(ls.cumulative_counts):
-        nxt = float(ls.log2_eigenvalues[i + 1]) if i + 1 < ls.num_levels else NEG_INF
-        pairs.append((cum, nxt))
-    return pairs
-
-
-def boundary_index_below(ls: LeveledSpectrum, limit: int) -> int:
-    """Largest ``i`` such that the ``i``-th boundary cut is <= ``limit``.
-
-    Boundary ``i`` keeps the first ``i`` full levels, i.e. cut position 0 for
-    ``i = 0`` and ``cumulative_counts[i-1]`` otherwise.
-    """
-    return bisect_right(ls.cumulative_counts, limit)
-
-
-def boundary_cut(ls: LeveledSpectrum, index: int) -> int:
-    """Cut position (number of kept entries) of boundary ``index``."""
-    return 0 if index == 0 else ls.cumulative_counts[index - 1]
+    return list(zip(ls.starts, ls.log2_eigenvalues.tolist() + [NEG_INF]))

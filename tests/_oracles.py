@@ -2,7 +2,8 @@
 
 Everything here works on dense eigenvalue arrays and plain quadrature, with
 no reliance on the leveled-spectrum machinery, so agreement between the two
-paths is meaningful.
+paths is meaningful.  The dense power spectrum itself lives in
+``concrec.conversion``, where ``validate --suite identities`` shares it.
 """
 
 import bisect
@@ -11,14 +12,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-
-def dense_power_spectrum(probs, n: int) -> np.ndarray:
-    """All rank^n eigenvalue products of the n-fold power, sorted descending."""
-    spec = np.ones(1)
-    base = np.asarray(probs, dtype=np.float64)
-    for _ in range(n):
-        spec = np.multiply.outer(spec, base).ravel()
-    return np.sort(spec)[::-1]
+from concrec.conversion import dense_power_spectrum
 
 
 def dense_flatten_index(pvec: np.ndarray, L: int) -> int:

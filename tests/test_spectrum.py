@@ -1,7 +1,11 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concrec import (
     Level,
@@ -97,6 +101,10 @@ class TestPowerSpectrum:
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 0)
         assert ls.num_levels == 1
         assert ls.levels[0] == Level(0.0, 1, 1)
+        # The empty product is +0.0 whatever the number of distinct values.
+        for probs in ([1.0], [0.5, 0.5], [0.9, 0.1], [0.6, 0.3, 0.1], [0.4, 0.3, 0.2, 0.1]):
+            eig = power_spectrum(make_schmidt(probs), 0).log2_eigenvalues[0]
+            assert math.copysign(1.0, eig) == 1.0, probs
 
     def test_repeated_probabilities_grouped(self):
         # (0.5, 0.25, 0.25) has two distinct values; levels follow the
@@ -169,6 +177,31 @@ class TestPowerSpectrum:
         ls = power_spectrum(sv, n)
         total = sum(lv.multiplicity for lv in ls.levels)
         assert total == 3**n == ls.total_count
+
+    @pytest.mark.parametrize(
+        "probs, n", [((0.3, 0.3, 0.2, 0.1, 0.1), 30), ((0.6, 0.3, 0.1), 40)]
+    )
+    def test_exact_counts_per_level_tied_groups(self, probs, n):
+        # Oracle: multinomial(n; e) * prod_i g_i^e_i for every exponent
+        # vector e over the distinct values, from math.comb.
+        sv = make_schmidt(probs)
+        values = sorted(set(sv.probs), reverse=True)
+        sizes = [sv.probs.count(v) for v in values]
+        log2_values = [math.log2(v) for v in values]
+        expected = Counter()
+        for head in itertools.product(range(n + 1), repeat=len(values) - 1):
+            if sum(head) > n:
+                continue
+            exps = (*head, n - sum(head))
+            mult, left = 1, n
+            for e, g in zip(exps, sizes):
+                mult *= math.comb(left, e) * g**e
+                left -= e
+            log2_eig = math.fsum(e * lv for e, lv in zip(exps, log2_values))
+            expected[(log2_eig, mult)] += 1
+        ls = power_spectrum(sv, n)
+        assert Counter((lv.log2_eigenvalue, lv.multiplicity) for lv in ls.levels) == expected
+        assert ls.total_count == sv.rank**n
 
     def test_arrays_read_only(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 4)
@@ -245,6 +278,45 @@ class TestPrefixQueries:
             rate = (mass - prev_mass) / lv.multiplicity
             assert rate <= prev_rate + 1e-15
             prev_mass, prev_rate = mass, rate
+
+
+@st.composite
+def tied_spectra(draw):
+    """A rank 1-4 state whose entries repeat in groups, and a copy count."""
+    rank = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, rank - 1)))) if rank > 1 else []
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, rank])]
+    values = draw(st.lists(st.integers(1, 20), min_size=len(sizes), max_size=len(sizes), unique=True))
+    weights = [v for v, size in zip(values, sizes) for _ in range(size)]
+    sv = make_schmidt([w / sum(weights) for w in weights])
+    return sv, draw(st.integers(0, 40))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tied_spectra())
+def test_prefix_and_tail_partition_property(case):
+    sv, n = case
+    ls = power_spectrum(sv, n)
+    total = ls.total_count
+    assert [cut for cut, _ in level_boundaries(ls)] == list(ls.starts)
+    counts = sorted(
+        {0, total} | {c for s in ls.starts for c in (s - 1, s, s + 1) if 0 <= c <= total}
+    )
+    heads = [prefix_mass(ls, c) for c in counts]
+    tails = [2.0 ** log2_tail_mass(ls, c) for c in counts]
+    for head, tail in zip(heads, tails):
+        assert abs(head + tail - 1.0) <= 1e-12
+    if total > 4096:
+        return
+    # At most 4096 entries, so the dense float sums are within 5e-13.
+    dense = dense_power_spectrum(sv.probs, n)
+    dense_head = np.concatenate(([0.0], np.cumsum(dense)))
+    dense_tail = np.concatenate((np.cumsum(dense[::-1])[::-1], [0.0]))
+    dense_sqrt = np.concatenate(([0.0], np.cumsum(np.sqrt(dense))))
+    for c, head, tail in zip(counts, heads, tails):
+        assert head == pytest.approx(dense_head[c], abs=1e-12)
+        assert tail == pytest.approx(dense_tail[c], abs=1e-12)
+        assert prefix_sqrt_mass(ls, c) == pytest.approx(dense_sqrt[c], rel=1e-12, abs=0.0)
 
 
 class TestLevelBoundaries:
