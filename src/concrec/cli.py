@@ -43,7 +43,6 @@ _DEFAULTS = {
     "n": 3000,
     "kmax": 10,
     "format": "csv",
-    "jobs": 1,
     "seed": 0,
 }
 
@@ -60,7 +59,6 @@ class FigureSpec:
     b_grid: tuple[float, ...]
     output_path: str
     format: str
-    jobs: int
 
 
 def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
@@ -155,7 +153,7 @@ def run_figure(spec: FigureSpec) -> tuple[Sequence[str], list, list[tuple[str, s
     if spec.figure_id == "fig2":
         metadata.append(("kmax", str(spec.kmax)))
         metadata.append(("units", "log2_n:bits,delta:1"))
-        points = delta_curve(sv, [1 << k for k in range(1, spec.kmax + 1)], jobs=spec.jobs)
+        points = delta_curve(sv, [1 << k for k in range(1, spec.kmax + 1)])
         rows = [(k, delta) for k, (_n, delta) in enumerate(points, start=1)]
         return ("log2_n", "delta"), rows, metadata
     if spec.figure_id == "fig3":
@@ -174,17 +172,10 @@ def run_figure(spec: FigureSpec) -> tuple[Sequence[str], list, list[tuple[str, s
             raise InvalidSpec("fig4 needs a state with V > 0 and S > 0")
         metadata.append(("n", str(spec.n)))
         metadata.append(("units", "epsilon:1,N_exact:copies,N_approx:copies"))
-
-        def one(eps: float) -> tuple[float, int, float]:
-            return eps, max_recoverable(sv, spec.n, eps), nmax_approx(sv, spec.n, eps)
-
-        if spec.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-                rows = list(pool.map(one, spec.epsilon_grid))
-        else:
-            rows = [one(eps) for eps in spec.epsilon_grid]
+        rows = [
+            (eps, max_recoverable(sv, spec.n, eps), nmax_approx(sv, spec.n, eps))
+            for eps in spec.epsilon_grid
+        ]
         return ("epsilon", "N_exact", "N_approx"), rows, metadata
     if spec.figure_id == "fig5":
         metadata.append(("units", "epsilon:1,coefficient:copies_per_sqrt_copy"))
@@ -223,7 +214,6 @@ def _cmd_fig(args) -> int:
         b_grid=b_grid,
         output_path=args.out,
         format=_resolve(args.format, config, "format", str),
-        jobs=_resolve(args.jobs, config, "jobs", int),
     )
     if spec.n < 1 or spec.kmax < 1:
         raise ParamError("--n and --kmax must be >= 1")
@@ -465,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--b-grid", type=str, help="comma-separated second-order rates for fig3")
     fig.add_argument("--out", type=str, required=True)
     fig.add_argument("--format", choices=("csv", "json"))
-    fig.add_argument("--jobs", type=int, help="thread count for independent grid points")
+    fig.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     fig.add_argument("--config", type=str, help="key=value defaults file")
     fig.set_defaults(func=_cmd_fig)
 

@@ -23,9 +23,9 @@ from .spectrum import (
     NEG_INF,
     LeveledSpectrum,
     SchmidtVector,
+    _cached_spectrum,
     _exp2,
     log2_int,
-    power_spectrum,
     prefix_mass,
 )
 
@@ -146,14 +146,14 @@ def concentration_error(sv: SchmidtVector, n: int, m: int) -> float:
     """Optimal error for concentrating n copies into m EPR pairs."""
     if m < 1:
         raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
-    return concentration_fidelity(power_spectrum(sv, n), 1 << m).error
+    return concentration_fidelity(_cached_spectrum(sv, n), 1 << m).error
 
 
 def dilution_error(sv: SchmidtVector, N: int, m: int) -> float:
     """Optimal error for diluting m EPR pairs into N copies."""
     if m < 1:
         raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
-    return dilution_fidelity(power_spectrum(sv, N), 1 << m).error
+    return dilution_fidelity(_cached_spectrum(sv, N), 1 << m).error
 
 
 def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:
@@ -169,24 +169,22 @@ def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:
     return np.sort(spec)[::-1]
 
 
-def _construct_eta(probs: np.ndarray, L: int) -> np.ndarray:
-    """Keep-then-flatten vector over L slots, built by a dense index scan."""
-    prefix = np.concatenate(([0.0], np.cumsum(probs)))
-    total = float(prefix[-1])
-    J = L - 1
-    for j in range(L):
-        tail = total - float(prefix[j]) if j < probs.size else 0.0
-        nxt = float(probs[j]) if j < probs.size else 0.0
-        # Relative slack keeps exact mathematical ties from flipping on
-        # float rounding of the tail subtraction.
-        if tail / (L - j) >= nxt * (1.0 - 1e-12) - 1e-15:
-            J = j
-            break
-    eta = np.zeros(L)
-    eta[:J] = probs[:J]
-    tail = total - float(prefix[J]) if J < probs.size else 0.0
-    eta[J:] = max(tail, 0.0) / (L - J)
-    return eta
+def dense_flatten_index(probs: np.ndarray, L: int) -> int:
+    """Flatten index J of a dense sorted spectrum, by a per-index scan.
+
+    The reference for :func:`flatten_index`: the smallest j whose tail
+    average covers the entry at j.  A relative slack of 1e-12 keeps exact
+    mathematical ties from flipping on the float rounding of the tail
+    subtraction; the last candidate is forced because the condition holds
+    at j = L - 1 in exact arithmetic.
+    """
+    full = np.zeros(max(L + 1, probs.size))
+    full[: probs.size] = probs
+    prefix = np.concatenate(([0.0], np.cumsum(full)))
+    js = np.arange(L)
+    cond = (prefix[-1] - prefix[js]) / (L - js) >= full[js] * (1.0 - 1e-12) - 1e-15
+    cond[L - 1] = True
+    return int(np.argmax(cond))
 
 
 def _majorizes(q: np.ndarray, prefix_p: np.ndarray, tol: float) -> bool:
@@ -210,7 +208,12 @@ def brute_force_fidelity(p: Union[SchmidtVector, Sequence[float]], L: int) -> fl
         raise DimensionTooLargeForOracle("oracle handles dimension and rank up to 8")
     probs = np.sort(np.asarray(raw, dtype=np.float64))[::-1]
 
-    eta = _construct_eta(probs, L)
+    # Keep the top J weights and spread the rest evenly over the other slots.
+    J = dense_flatten_index(probs, L)
+    prefix = np.concatenate(([0.0], np.cumsum(probs)))
+    eta = np.zeros(L)
+    eta[:J] = probs[:J]
+    eta[J:] = max(float(prefix[-1]) - float(prefix[J]), 0.0) / (L - J)
     padded = np.zeros(L)
     padded[: min(L, probs.size)] = probs[: min(L, probs.size)]
     prefix_p = np.cumsum(padded)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -243,18 +243,24 @@ def power_spectrum(
         ),
         key=lambda item: (-item[0], item[1]),
     )
-    starts = tuple(accumulate((mult for _, _, mult in entries), initial=0))
+    log2_eigs = np.array([eig for eig, _, _ in entries], dtype=np.float64)
+    log2_mults = np.empty(n_levels, dtype=np.float64)
+    starts = [0]
+    for i, (_, _, mult) in enumerate(entries):
+        # Drop each big multiplicity once it is counted, so the spectrum's
+        # big integers are never held twice.
+        entries[i] = None
+        log2_mults[i] = log2_int(mult)
+        starts.append(starts[-1] + mult)
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
 
-    log2_eigs = np.array([eig for eig, _, _ in entries], dtype=np.float64)
-    log2_mults = np.array([log2_int(mult) for _, _, mult in entries], dtype=np.float64)
     level_log2_mass = log2_mults + log2_eigs
     level_log2_sqrt = log2_mults + 0.5 * log2_eigs
 
     prefix_mass = np.logaddexp2.accumulate(level_log2_mass)
     prefix_sqrt = np.logaddexp2.accumulate(level_log2_sqrt)
-    suffix = np.empty(len(entries) + 1, dtype=np.float64)
+    suffix = np.empty(n_levels + 1, dtype=np.float64)
     suffix[-1] = NEG_INF
     suffix[:-1] = np.logaddexp2.accumulate(level_log2_mass[::-1])[::-1]
     if abs(prefix_mass[-1]) > _MASS_GUARD:
@@ -265,12 +271,19 @@ def power_spectrum(
     return LeveledSpectrum(
         base=sv,
         copies=n,
-        starts=starts,
+        starts=tuple(starts),
         log2_eigenvalues=log2_eigs,
         prefix_log2_mass=prefix_mass,
         prefix_log2_sqrt_mass=prefix_sqrt,
         suffix_log2_mass=suffix,
     )
+
+
+@lru_cache(maxsize=64)
+def _cached_spectrum(sv: SchmidtVector, copies: int) -> LeveledSpectrum:
+    """:func:`power_spectrum` with default limits, shared by the conversion
+    and trade-off layers so a spectrum is built once per (state, copies)."""
+    return power_spectrum(sv, copies)
 
 
 def _log2_split(

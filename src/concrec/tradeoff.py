@@ -10,14 +10,13 @@ N * ceil(log2 rank) pairs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
 from .conversion import concentration_fidelity, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
-from .spectrum import LeveledSpectrum, SchmidtVector, power_spectrum
+from .spectrum import SchmidtVector, _cached_spectrum
 
 
 @dataclass(frozen=True)
@@ -36,15 +35,10 @@ def _ceil_log2(r: int) -> int:
     return (r - 1).bit_length()
 
 
-@lru_cache(maxsize=64)
-def _spectrum(sv: SchmidtVector, copies: int) -> LeveledSpectrum:
-    return power_spectrum(sv, copies)
-
-
 @lru_cache(maxsize=8192)
 def _gmcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
-    spec_n = _spectrum(sv, n)
-    spec_N = spec_n if N == n else _spectrum(sv, N)
+    spec_n = _cached_spectrum(sv, n)
+    spec_N = spec_n if N == n else _cached_spectrum(sv, N)
     # max(1, ...) keeps rank-1 inputs scannable; their best m is 1 anyway.
     m_cap = max(1, N * _ceil_log2(sv.rank))
     best: Union[tuple[float, int, float, float], None] = None
@@ -84,24 +78,16 @@ def mcre(sv: SchmidtVector, n: int) -> TradeoffResult:
     return _gmcre(sv, n, n)
 
 
-def max_recoverable(
-    sv: SchmidtVector, n: int, eps: float, *, verify_monotone: bool = False
-) -> int:
+def max_recoverable(sv: SchmidtVector, n: int, eps: float) -> int:
     """Largest N in [0, n] whose trade-off error stays within ``eps``.
 
     Recovering nothing costs nothing, so N = 0 always qualifies.  The search
-    is binary, relying on the trade-off error being non-decreasing in N;
-    ``verify_monotone`` re-checks that by a full scan first.
+    is binary, relying on the trade-off error being non-decreasing in N.
     """
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
     if not 0.0 < eps <= 1.0:
         raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
-    if verify_monotone:
-        deltas = [_gmcre(sv, n, N).delta for N in range(1, n + 1)]
-        for a, b in zip(deltas, deltas[1:]):
-            if b < a - 1e-12:
-                raise ArithmeticError("trade-off error is not monotone in N")
     lo, hi = 0, n
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -112,20 +98,6 @@ def max_recoverable(
     return lo
 
 
-def delta_curve(
-    sv: SchmidtVector, n_values: Iterable[int], *, jobs: Union[int, None] = None
-) -> list[tuple[int, float]]:
-    """Full-recovery trade-off error for each copy count in ``n_values``.
-
-    Points are independent; with ``jobs`` > 1 they are evaluated on a thread
-    pool, and the output order always follows the input order.
-    """
-    ns = list(n_values)
-
-    def one(n: int) -> tuple[int, float]:
-        return n, mcre(sv, n).delta
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, ns))
-    return [one(n) for n in ns]
+def delta_curve(sv: SchmidtVector, n_values: Iterable[int]) -> list[tuple[int, float]]:
+    """Full-recovery trade-off error for each copy count in ``n_values``, in order."""
+    return [(n, mcre(sv, n).delta) for n in n_values]

@@ -2,8 +2,9 @@
 
 Everything here works on dense eigenvalue arrays and plain quadrature, with
 no reliance on the leveled-spectrum machinery, so agreement between the two
-paths is meaningful.  The dense power spectrum itself lives in
-``concrec.conversion``, where ``validate --suite identities`` shares it.
+paths is meaningful.  The dense power spectrum and the dense flatten scan
+themselves live in ``concrec.conversion``, where ``validate`` and the
+brute-force oracle share them.
 """
 
 import bisect
@@ -12,24 +13,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from concrec.conversion import dense_power_spectrum
-
-
-def dense_flatten_index(pvec: np.ndarray, L: int) -> int:
-    """Per-index scan for the smallest j whose tail average covers p[j+1].
-
-    A relative slack of 1e-12 keeps exact mathematical ties from flipping on
-    the float rounding of the tail subtraction; the last candidate is forced
-    because tail(L-1) >= p_L holds in exact arithmetic.
-    """
-    full = np.zeros(max(L + 1, pvec.size))
-    full[: pvec.size] = pvec
-    prefix = np.concatenate(([0.0], np.cumsum(full)))
-    total = float(prefix[-1])
-    js = np.arange(L)
-    cond = (total - prefix[js]) / (L - js) >= full[js] * (1.0 - 1e-12) - 1e-15
-    cond[L - 1] = True
-    return int(np.argmax(cond))
+from concrec.conversion import dense_flatten_index, dense_power_spectrum
 
 
 def dense_concentration_fidelity(pvec: np.ndarray, L: int) -> float:

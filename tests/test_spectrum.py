@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -370,6 +371,21 @@ class TestBigPowers:
         half = ls.total_count // 2
         mass = prefix_mass(ls, half)
         assert 0.0 < mass <= 1.0
+
+    def test_build_peak_near_retained_size(self):
+        # The big-integer counts dominate a qubit spectrum at large n; the
+        # build must not hold each multiplicity beside its running count.
+        sv = make_schmidt([0.9, 0.1])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ls = power_spectrum(sv, 10000)
+            retained, peak = (x - base for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert ls.num_levels == 10001
+        assert peak <= 1.25 * retained, (peak, retained)
 
 
 def test_concurrent_queries_match_serial():
