@@ -23,9 +23,9 @@ from .spectrum import (
     NEG_INF,
     LeveledSpectrum,
     SchmidtVector,
-    _cached_spectrum,
     _exp2,
     log2_int,
+    power_spectrum,
     prefix_mass,
 )
 
@@ -146,14 +146,14 @@ def concentration_error(sv: SchmidtVector, n: int, m: int) -> float:
     """Optimal error for concentrating n copies into m EPR pairs."""
     if m < 1:
         raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
-    return concentration_fidelity(_cached_spectrum(sv, n), 1 << m).error
+    return concentration_fidelity(power_spectrum(sv, n), 1 << m).error
 
 
 def dilution_error(sv: SchmidtVector, N: int, m: int) -> float:
     """Optimal error for diluting m EPR pairs into N copies."""
     if m < 1:
         raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
-    return dilution_fidelity(_cached_spectrum(sv, N), 1 << m).error
+    return dilution_fidelity(power_spectrum(sv, N), 1 << m).error
 
 
 def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -277,13 +276,6 @@ def power_spectrum(
         prefix_log2_sqrt_mass=prefix_sqrt,
         suffix_log2_mass=suffix,
     )
-
-
-@lru_cache(maxsize=64)
-def _cached_spectrum(sv: SchmidtVector, copies: int) -> LeveledSpectrum:
-    """:func:`power_spectrum` with default limits, shared by the conversion
-    and trade-off layers so a spectrum is built once per (state, copies)."""
-    return power_spectrum(sv, copies)
 
 
 def _log2_split(

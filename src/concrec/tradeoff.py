@@ -16,7 +16,7 @@ from typing import Iterable, Union
 
 from .conversion import concentration_fidelity, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
-from .spectrum import SchmidtVector, _cached_spectrum
+from .spectrum import LeveledSpectrum, SchmidtVector, power_spectrum
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,15 @@ def _ceil_log2(r: int) -> int:
     return (r - 1).bit_length()
 
 
+@lru_cache(maxsize=64)
+def _spectrum(sv: SchmidtVector, copies: int) -> LeveledSpectrum:
+    return power_spectrum(sv, copies)
+
+
 @lru_cache(maxsize=8192)
 def _gmcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
-    spec_n = _cached_spectrum(sv, n)
-    spec_N = spec_n if N == n else _cached_spectrum(sv, N)
+    spec_n = _spectrum(sv, n)
+    spec_N = spec_n if N == n else _spectrum(sv, N)
     # max(1, ...) keeps rank-1 inputs scannable; their best m is 1 anyway.
     m_cap = max(1, N * _ceil_log2(sv.rank))
     best: Union[tuple[float, int, float, float], None] = None

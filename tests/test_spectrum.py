@@ -376,14 +376,17 @@ class TestBigPowers:
         # The big-integer counts dominate a qubit spectrum at large n; the
         # build must not hold each multiplicity beside its running count.
         sv = make_schmidt([0.9, 0.1])
-        tracemalloc.start()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             ls = power_spectrum(sv, 10000)
             retained, peak = (x - base for x in tracemalloc.get_traced_memory())
         finally:
-            tracemalloc.stop()
+            if not was_tracing:
+                tracemalloc.stop()
         assert ls.num_levels == 10001
         assert peak <= 1.25 * retained, (peak, retained)
 

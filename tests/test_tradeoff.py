@@ -13,8 +13,7 @@ from concrec import (
     mcre,
 )
 from concrec.errors import InvalidEpsilon, InvalidRange
-from concrec.spectrum import _cached_spectrum
-from concrec.tradeoff import _gmcre
+from concrec.tradeoff import _gmcre, _spectrum
 
 from _oracles import dense_delta
 
@@ -175,7 +174,7 @@ class TestDeltaCurve:
         ns = [2**k for k in range(1, 8)]
         serial = delta_curve(sv, ns)
         _gmcre.cache_clear()
-        _cached_spectrum.cache_clear()
+        _spectrum.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda n: (n, mcre(sv, n).delta), ns))
         assert threaded == serial
