@@ -33,7 +33,7 @@ from .conversion import (
 )
 from .errors import InvalidSpec, IoFailure, ParamError
 from .spectrum import SchmidtVector, log2_prefix_sqrt_mass, make_schmidt, power_spectrum
-from .tradeoff import delta_curve, generalized_mcre, max_recoverable, mcre
+from .tradeoff import delta_curve, generalized_mcre, mcre, recoverable_points
 
 QUERY_KINDS = ("mcre", "gmcre", "nmax", "error-conc", "error-dil", "profile")
 SUITES = ("oracle", "identities", "asymptotic")
@@ -172,9 +172,10 @@ def run_figure(spec: FigureSpec) -> tuple[Sequence[str], list, list[tuple[str, s
             raise InvalidSpec("fig4 needs a state with V > 0 and S > 0")
         metadata.append(("n", str(spec.n)))
         metadata.append(("units", "epsilon:1,N_exact:copies,N_approx:copies"))
+        points = recoverable_points(sv, spec.n, spec.epsilon_grid)
         rows = [
-            (eps, max_recoverable(sv, spec.n, eps), nmax_approx(sv, spec.n, eps))
-            for eps in spec.epsilon_grid
+            (eps, point.N if point else 0, nmax_approx(sv, spec.n, eps))
+            for eps, point in zip(spec.epsilon_grid, points)
         ]
         return ("epsilon", "N_exact", "N_approx"), rows, metadata
     if spec.figure_id == "fig5":
@@ -279,13 +280,14 @@ def _cmd_query(args) -> int:
     elif kind == "nmax":
         n = _param(args, config, "n", int)
         eps = _param(args, config, "eps", float)
-        n_exact = max_recoverable(state, n, eps)
+        (point,) = recoverable_points(state, n, [eps])
+        n_exact = point.N if point else 0
         record.update(n=n, eps=eps, N_max=n_exact, loss=n - n_exact)
         prof = profile(state)
         if prof.variance_V > 0.0 and prof.entropy_S > 0.0 and eps < 1.0:
             record["N_approx"] = nmax_approx(state, n, eps)
-        if n_exact >= 1:
-            record["delta_at_N_max"] = generalized_mcre(state, n, n_exact).delta
+        if point:
+            record["delta_at_N_max"] = point.delta
     elif kind == "error-conc":
         n = _param(args, config, "n", int)
         m = _param(args, config, "m", int)

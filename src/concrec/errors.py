@@ -18,7 +18,7 @@ class NotNormalized(Error):
 
 
 class RankTooLargeForN(Error):
-    """The requested tensor power would produce more levels than the configured limit."""
+    """Building the requested tensor power would need more memory than the budget."""
 
 
 class CountExceedsTotal(Error):

@@ -32,8 +32,8 @@ from .errors import (
 
 NEG_INF = float("-inf")
 
-# Compositions are enumerated up front; this caps the level count, not n.
-DEFAULT_MAX_LEVELS = 5_000_000
+# A build whose estimated peak (_build_bytes) exceeds this is refused up front.
+BUILD_BUDGET_BYTES = 2 << 30
 
 _RENORM_TOL = 1e-9
 _MASS_GUARD = 1e-6
@@ -209,24 +209,28 @@ def _types(sizes: Sequence[int], n: int) -> Iterator[tuple[tuple[int, ...], int]
         head = head * e * h // ((n - e + 1) * g)
 
 
-def power_spectrum(
-    sv: SchmidtVector, n: int, *, max_levels: int = DEFAULT_MAX_LEVELS
-) -> LeveledSpectrum:
+def _build_bytes(levels: int, n: int, rank: int) -> float:
+    """Estimated build peak: about 270 B per level plus its n*log2(rank)-bit count."""
+    return levels * (270 + n * math.log2(rank) / 8)
+
+
+def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     """Leveled spectrum of the n-fold tensor power of ``diag(sv.probs)``.
 
     Raises
     ------
     RankTooLargeForN
-        If the number of levels, C(n + d - 1, d - 1) for d distinct
-        probability values, exceeds ``max_levels``.
+        If the estimated build peak exceeds ``BUILD_BUDGET_BYTES``.
     """
     if n < 0:
         raise ValueError("copy count must be non-negative")
     values, sizes = _distinct_groups(sv)
     n_levels = math.comb(n + len(values) - 1, len(values) - 1)
-    if n_levels > max_levels:
+    need = _build_bytes(n_levels, n, sv.rank)
+    if need > BUILD_BUDGET_BYTES:
         raise RankTooLargeForN(
-            f"{n_levels} levels for rank {sv.rank} at n={n}, limit {max_levels}"
+            f"{n_levels} levels for rank {sv.rank} at n={n} need about "
+            f"{need / 2**30:.1f} GiB to build, over the {BUILD_BUDGET_BYTES >> 30} GiB budget"
         )
 
     # Numerically equal eigenvalues from different exponent vectors are

@@ -11,8 +11,7 @@ N * ceil(log2 rank) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .conversion import concentration_fidelity, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
@@ -35,15 +34,9 @@ def _ceil_log2(r: int) -> int:
     return (r - 1).bit_length()
 
 
-@lru_cache(maxsize=64)
-def _spectrum(sv: SchmidtVector, copies: int) -> LeveledSpectrum:
-    return power_spectrum(sv, copies)
-
-
-@lru_cache(maxsize=8192)
-def _gmcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
-    spec_n = _spectrum(sv, n)
-    spec_N = spec_n if N == n else _spectrum(sv, N)
+def _gmcre(spec_n: LeveledSpectrum, N: int) -> TradeoffResult:
+    sv, n = spec_n.base, spec_n.copies
+    spec_N = spec_n if N == n else power_spectrum(sv, N)
     # max(1, ...) keeps rank-1 inputs scannable; their best m is 1 anyway.
     m_cap = max(1, N * _ceil_log2(sv.rank))
     best: Union[tuple[float, int, float, float], None] = None
@@ -73,34 +66,52 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
-    return _gmcre(sv, n, N)
+    return _gmcre(power_spectrum(sv, n), N)
 
 
 def mcre(sv: SchmidtVector, n: int) -> TradeoffResult:
     """Minimal concentration-recovery error with full recovery (N = n)."""
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
-    return _gmcre(sv, n, n)
+    return _gmcre(power_spectrum(sv, n), n)
 
 
-def max_recoverable(sv: SchmidtVector, n: int, eps: float) -> int:
-    """Largest N in [0, n] whose trade-off error stays within ``eps``.
+def recoverable_points(
+    sv: SchmidtVector, n: int, eps_grid: Sequence[float]
+) -> list[Union[TradeoffResult, None]]:
+    """Trade-off point at the largest N in [0, n] within each budget, in grid order.
 
-    Recovering nothing costs nothing, so N = 0 always qualifies.  The search
-    is binary, relying on the trade-off error being non-decreasing in N.
+    ``None`` means only N = 0 qualifies: recovering nothing costs nothing.
+    Each budget is a binary search, relying on the trade-off error being
+    non-decreasing in N.  The n-copy spectrum and the points evaluated are
+    shared across the grid and dropped on return.
     """
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _gmcre(sv, n, mid).delta <= eps:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    for eps in eps_grid:
+        if not 0.0 < eps <= 1.0:
+            raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
+    spec_n = power_spectrum(sv, n)
+    points: dict[int, TradeoffResult] = {}
+    found: list[Union[TradeoffResult, None]] = []
+    for eps in eps_grid:
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mid not in points:
+                points[mid] = _gmcre(spec_n, mid)
+            if points[mid].delta <= eps:
+                lo = mid
+            else:
+                hi = mid - 1
+        found.append(points[lo] if lo else None)
+    return found
+
+
+def max_recoverable(sv: SchmidtVector, n: int, eps: float) -> int:
+    """Largest N in [0, n] whose trade-off error stays within ``eps``."""
+    (point,) = recoverable_points(sv, n, [eps])
+    return point.N if point else 0
 
 
 def delta_curve(sv: SchmidtVector, n_values: Iterable[int]) -> list[tuple[int, float]]:

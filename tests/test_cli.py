@@ -2,10 +2,12 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from concrec.cli import main
+from concrec import cli, conversion, make_schmidt, spectrum, tradeoff
+from concrec.cli import FigureSpec, main
 
 
 def run(args):
@@ -178,6 +180,12 @@ class TestQuery:
         assert header.split(",")[0] == "kind"
         assert row.split(",")[0] == "mcre"
 
+    def test_oversized_spectrum_exits_2(self, capsys):
+        # 4.5M levels, estimated at 3.9 GB to build: refused before enumerating.
+        args = ["query", "--kind", "mcre", "--schmidt", "0.5,0.3,0.2", "--n", "3000"]
+        assert run(args) == 2
+        assert "GiB" in capsys.readouterr().err
+
     def test_missing_param_exits_2(self, capsys):
         assert run(["query", "--kind", "mcre", "--p", "0.1"]) == 2
         assert "requires --n" in capsys.readouterr().err
@@ -245,3 +253,42 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def _count_builds(monkeypatch):
+    """Spectrum builds per copy count, from every module that builds one."""
+    built = Counter()
+    real = spectrum.power_spectrum
+
+    def counting(sv, copies):
+        built[copies] += 1
+        return real(sv, copies)
+
+    for module in (cli, conversion, tradeoff):
+        monkeypatch.setattr(module, "power_spectrum", counting)
+    return built
+
+
+class TestSpectrumBuilds:
+    def test_fig4_builds_each_copy_count_once(self, monkeypatch):
+        built = _count_builds(monkeypatch)
+        spec = FigureSpec(
+            figure_id="fig4",
+            state=make_schmidt([0.9, 0.1]),
+            n=200,
+            kmax=10,
+            epsilon_grid=tuple(0.05 * i for i in range(1, 20)),
+            b_grid=(),
+            output_path="",
+            format="csv",
+        )
+        cli.run_figure(spec)
+        assert built[200] == 1
+        assert max(built.values()) == 1
+
+    def test_nmax_query_builds_each_copy_count_once(self, monkeypatch, capsys):
+        built = _count_builds(monkeypatch)
+        assert run(["query", "--kind", "nmax", "--p", "0.1", "--n", "40", "--eps", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["N_max"] >= 1
+        assert built[40] == 1
+        assert max(built.values()) == 1

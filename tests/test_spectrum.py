@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -28,6 +29,7 @@ from concrec.errors import (
     NotNormalized,
     RankTooLargeForN,
 )
+from concrec.spectrum import _build_bytes
 
 from _oracles import dense_power_spectrum
 
@@ -153,8 +155,11 @@ class TestPowerSpectrum:
             assert float(np.max(np.abs(expanded - dense))) <= 1e-12
 
     def test_level_limit(self):
-        with pytest.raises(RankTooLargeForN):
-            power_spectrum(make_schmidt([0.6, 0.3, 0.1]), 10, max_levels=10)
+        # 4.5M levels, estimated at 3.9 GB to build: refused before enumerating.
+        start = time.perf_counter()
+        with pytest.raises(RankTooLargeForN, match="GiB"):
+            power_spectrum(make_schmidt([0.5, 0.3, 0.2]), 3000)
+        assert time.perf_counter() - start < 1.0
 
     def test_exact_counts_qubit_n300(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 300)
@@ -375,20 +380,33 @@ class TestBigPowers:
     def test_build_peak_near_retained_size(self):
         # The big-integer counts dominate a qubit spectrum at large n; the
         # build must not hold each multiplicity beside its running count.
-        sv = make_schmidt([0.9, 0.1])
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            ls = power_spectrum(sv, 10000)
-            retained, peak = (x - base for x in tracemalloc.get_traced_memory())
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        ls, retained, peak = _traced_build(make_schmidt([0.9, 0.1]), 10000)
         assert ls.num_levels == 10001
         assert peak <= 1.25 * retained, (peak, retained)
+
+    @pytest.mark.parametrize("probs, n", [((0.9, 0.1), 10000), ((0.5, 0.3, 0.2), 300)])
+    def test_build_estimate_near_peak(self, probs, n):
+        sv = make_schmidt(probs)
+        ls, _, peak = _traced_build(sv, n)
+        estimate = _build_bytes(ls.num_levels, n, sv.rank)
+        assert peak / 2 <= estimate <= 2 * peak, (estimate, peak)
+
+
+def _traced_build(sv, n):
+    """A spectrum with the bytes it retains and its build peak, under
+    tracemalloc; a caller's own tracing is left running."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ls = power_spectrum(sv, n)
+        retained, peak = (x - base for x in tracemalloc.get_traced_memory())
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return ls, retained, peak
 
 
 def test_concurrent_queries_match_serial():

@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from concrec import (
     concentration_error,
@@ -11,9 +15,10 @@ from concrec import (
     make_schmidt,
     max_recoverable,
     mcre,
+    recoverable_points,
+    tradeoff,
 )
 from concrec.errors import InvalidEpsilon, InvalidRange
-from concrec.tradeoff import _gmcre, _spectrum
 
 from _oracles import dense_delta
 
@@ -142,6 +147,76 @@ class TestMaxRecoverable:
                 assert max_recoverable(sv, n, eps_N) >= N
 
 
+class TestRecoverablePoints:
+    def test_examples(self):
+        sv = make_schmidt([0.9, 0.1])
+        assert recoverable_points(sv, 1, [0.2, 0.1, 1.0]) == [mcre(sv, 1), None, mcre(sv, 1)]
+        middle, last = recoverable_points(sv, 12, [0.3, 1.0])
+        assert middle == generalized_mcre(sv, 12, max_recoverable(sv, 12, 0.3))
+        assert last == mcre(sv, 12)
+        assert recoverable_points(sv, 12, []) == []
+
+    def test_invalid_arguments(self):
+        sv = make_schmidt([0.9, 0.1])
+        with pytest.raises(InvalidRange):
+            recoverable_points(sv, 0, [0.5])
+        with pytest.raises(InvalidEpsilon):
+            recoverable_points(sv, 4, [0.5, 0.0])
+
+    def test_no_spectrum_outlives_a_call(self, monkeypatch):
+        real = tradeoff.power_spectrum
+        built = []
+
+        def recording(sv, copies):
+            spectrum = real(sv, copies)
+            built.append(weakref.ref(spectrum))
+            return spectrum
+
+        monkeypatch.setattr(tradeoff, "power_spectrum", recording)
+        sv = make_schmidt([0.83, 0.17])  # a state no other test builds
+        mcre(sv, 12)
+        generalized_mcre(sv, 12, 7)
+        max_recoverable(sv, 12, 0.3)
+        recoverable_points(sv, 12, [0.5, 0.2, 0.5])
+        gc.collect()
+        assert built
+        assert [ref for ref in built if ref() is not None] == []
+
+
+@st.composite
+def search_cases(draw):
+    """A rank 1-3 state whose entries may tie, a copy count n <= 30, and an
+    error grid given as indices into the budgets the test derives."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    sv = make_schmidt([w / sum(weights) for w in weights])
+    picks = draw(st.lists(st.integers(0, 60), min_size=2, max_size=8))
+    return sv, draw(st.integers(1, 30)), picks + picks[::-2]  # repeats, out of order
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(search_cases())
+@example((make_schmidt([0.5, 0.5]), 12, [2, 0, 1, 2]))  # every delta is 0
+def test_grid_search_matches_pointwise_and_full_scan(case):
+    sv, n, picks = case
+    scan = {N: generalized_mcre(sv, n, N) for N in range(1, n + 1)}
+    # Budgets at every positive delta hit the search's <= boundary exactly.
+    budgets = sorted({p.delta for p in scan.values() if p.delta > 0.0} | {0.01, 0.3, 1.0})
+    grid = [budgets[i % len(budgets)] for i in picks]
+    points = recoverable_points(sv, n, grid)
+    found = [p.N if p else 0 for p in points]
+    assert found == [max_recoverable(sv, n, eps) for eps in grid]
+    for eps, point, N in zip(grid, points, found):
+        assert point == (scan[N] if N else None)
+        # The bisection's bracket holds for any delta sequence.
+        assert N == 0 or scan[N].delta <= eps
+        assert N == n or scan[N + 1].delta > eps
+        # Deltas that are 0 in exact arithmetic come out as rounding noise
+        # below 1e-12, which need not be monotone in N; above that slack the
+        # search must equal a full scan.
+        if eps > 1e-12:
+            assert N == max((M for M, p in scan.items() if p.delta <= eps), default=0)
+
+
 class TestMonotonicityAndBounds:
     @pytest.mark.parametrize("n", [16, 40, 64])
     def test_delta_monotone_in_N(self, n):
@@ -168,13 +243,11 @@ class TestDeltaCurve:
         assert [d for _, d in points] == [0.0, 0.0, 0.0, 0.0]
 
     def test_thread_fanout_is_bit_identical(self):
-        # Callers may fan points out on their own threads; with the caches
-        # cleared, every thread recomputes its point and spectrum.
+        # Callers may fan points out on their own threads; every thread
+        # recomputes its point and spectrum.
         sv = make_schmidt([0.9, 0.1])
         ns = [2**k for k in range(1, 8)]
         serial = delta_curve(sv, ns)
-        _gmcre.cache_clear()
-        _spectrum.cache_clear()
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(lambda n: (n, mcre(sv, n).delta), ns))
         assert threaded == serial
