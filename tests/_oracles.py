@@ -4,7 +4,9 @@ Everything here works on dense eigenvalue arrays and plain quadrature, with
 no reliance on the leveled-spectrum machinery, so agreement between the two
 paths is meaningful.  The dense power spectrum and the dense flatten scan
 themselves live in ``concrec.conversion``, where ``validate`` and the
-brute-force oracle share them.
+brute-force oracle share them.  ``full_scan_tradeoff`` is the exception: it
+runs the library's own per-m conversions over every EPR count, as the
+reference for the windowed search over m.
 """
 
 import bisect
@@ -13,7 +15,13 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from concrec.conversion import dense_flatten_index, dense_power_spectrum
+from concrec import TradeoffResult, power_spectrum
+from concrec.conversion import (
+    concentration_fidelity,
+    dense_flatten_index,
+    dense_power_spectrum,
+    dilution_fidelity,
+)
 
 
 def dense_concentration_fidelity(pvec: np.ndarray, L: int) -> float:
@@ -64,13 +72,16 @@ def exact_qubit_errors(probs, n: int, dims):
             value *= ratio
             root *= sqrt_ratio
         end = start
+        # Exact conversions, done once: turning a big count into a Decimal
+        # costs far more than the products that use it.
+        exact_counts = [Decimal(c) for c in counts]
         prefix_mass, prefix_root = [Decimal(0)], [Decimal(0)]
-        for c, v, r in zip(counts, values, roots):
+        for c, v, r in zip(exact_counts, values, roots):
             prefix_mass.append(prefix_mass[-1] + c * v)
             prefix_root.append(prefix_root[-1] + c * r)
         suffix_mass = [Decimal(0)] * (n + 2)
         for k in range(n, -1, -1):
-            suffix_mass[k] = suffix_mass[k + 1] + counts[k] * values[k]
+            suffix_mass[k] = suffix_mass[k + 1] + exact_counts[k] * values[k]
 
         results = []
         for L in dims:
@@ -113,6 +124,28 @@ def dense_delta(probs, n: int, N: int, cache=None) -> float:
         if best is None or delta < best:
             best = delta
     return best
+
+
+def full_scan_tradeoff(sv, n: int, N: int, cache=None) -> TradeoffResult:
+    """Trade-off point from every EPR count m in [1, N * ceil(log2 rank)].
+
+    The same per-m arithmetic as ``generalized_mcre``, scanned in ascending
+    m with a strict ``<``, so ties go to the smallest m.  ``cache`` maps a
+    copy count to its spectrum of ``sv`` and is filled as needed.
+    """
+    if cache is None:
+        cache = {}
+    for copies in (n, N):
+        if copies not in cache:
+            cache[copies] = power_spectrum(sv, copies)
+    spec_n, spec_N = cache[n], cache[N]
+    best = None
+    for m in range(1, max(1, N * (sv.rank - 1).bit_length()) + 1):
+        conc = concentration_fidelity(spec_n, 1 << m).error
+        dil = dilution_fidelity(spec_N, 1 << m).error
+        if best is None or conc + dil < best[0]:
+            best = (conc + dil, m, conc, dil)
+    return TradeoffResult(*best, n=n, N=N)
 
 
 def normal_cdf_simpson(x: float, panels: int = 16384) -> float:

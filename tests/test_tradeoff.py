@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,12 +16,14 @@ from concrec import (
     make_schmidt,
     max_recoverable,
     mcre,
+    power_spectrum,
     recoverable_points,
     tradeoff,
 )
+from concrec.conversion import concentration_fidelity, dilution_fidelity
 from concrec.errors import InvalidEpsilon, InvalidRange
 
-from _oracles import dense_delta
+from _oracles import dense_delta, exact_qubit_errors, full_scan_tradeoff
 
 
 class TestGeneralizedMcre:
@@ -215,6 +218,98 @@ def test_grid_search_matches_pointwise_and_full_scan(case):
         # search must equal a full scan.
         if eps > 1e-12:
             assert N == max((M for M, p in scan.items() if p.delta <= eps), default=0)
+
+
+@st.composite
+def tied_states(draw, max_distinct=3):
+    """A rank 1-4 state with at most ``max_distinct`` distinct entries, and a
+    copy count n <= 60.  With three, every rank-4 state has a tie."""
+    rank = draw(st.integers(1, 4))
+    weights = draw(
+        st.lists(st.integers(1, 4), min_size=rank, max_size=rank).filter(
+            lambda w: len(set(w)) <= max_distinct
+        )
+    )
+    return make_schmidt([w / sum(weights) for w in weights]), draw(st.integers(1, 60))
+
+
+def _largest_drop(values):
+    """Largest values[i] - values[j] over i < j; 0 for a non-decreasing list."""
+    drop, peak = 0.0, -math.inf
+    for v in values:
+        drop, peak = max(drop, peak - v), max(peak, v)
+    return drop
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tied_states())
+@example((make_schmidt([0.5, 0.5]), 60))  # every delta is 0
+@example((make_schmidt([0.4, 0.2, 0.2, 0.2]), 60))
+@example((make_schmidt([0.5, 0.3, 0.2]), 60))
+def test_window_equals_full_scan(case):
+    sv, n = case
+    cache = {}
+    for N in range(1, n + 1):
+        assert generalized_mcre(sv, n, N) == full_scan_tradeoff(sv, n, N, cache)
+
+
+def test_window_equals_full_scan_for_qubits_at_large_n():
+    rng = random.Random(3000)
+    n = 3000
+    for _ in range(3):
+        p = rng.uniform(0.05, 0.25)
+        sv, cache = make_schmidt([p, 1.0 - p]), {}
+        for N in sorted({1, n, *rng.sample(range(2, n), 6)}):
+            assert generalized_mcre(sv, n, N) == full_scan_tradeoff(sv, n, N, cache)
+
+
+def test_window_converts_each_m_once(monkeypatch):
+    targets = []
+    real = tradeoff.concentration_fidelity
+
+    def recording(ls, L):
+        targets.append(L)
+        return real(ls, L)
+
+    monkeypatch.setattr(tradeoff, "concentration_fidelity", recording)
+    mcre(make_schmidt([0.1, 0.9]), 3000)
+    assert len(targets) == len(set(targets))
+    assert len(targets) < 3000 // 10
+
+
+def _assert_monotone_within_slack(sv, n):
+    # The window is exact only while rounding never moves conc down, or dil
+    # up, by the slack across any pair of m.
+    spectrum = power_spectrum(sv, n)
+    dims = [1 << m for m in range(1, max(1, n * (sv.rank - 1).bit_length()) + 1)]
+    conc = [concentration_fidelity(spectrum, L).error for L in dims]
+    dil = [dilution_fidelity(spectrum, L).error for L in dims]
+    assert _largest_drop(conc) < tradeoff._WINDOW_SLACK
+    assert _largest_drop([-d for d in dil]) < tradeoff._WINDOW_SLACK
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tied_states(max_distinct=4))
+def test_errors_monotone_in_m_within_slack(case):
+    _assert_monotone_within_slack(*case)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.25])
+def test_errors_monotone_in_m_within_slack_at_large_n(p):
+    _assert_monotone_within_slack(make_schmidt([p, 1.0 - p]), 3000)
+
+
+def test_optimum_against_exact_oracle_at_large_n():
+    sv, n = make_schmidt([0.1, 0.9]), 10_000
+    m_star = mcre(sv, n).optimal_m
+    spectrum = power_spectrum(sv, n)
+    ms = (m_star - 1, m_star, m_star + 1)
+    exact = exact_qubit_errors(sv.probs, n, [1 << m for m in ms])
+    for m, (conc, dil) in zip(ms, exact):
+        assert abs(concentration_fidelity(spectrum, 1 << m).error - conc) <= 1e-12
+        assert abs(dilution_fidelity(spectrum, 1 << m).error - dil) <= 1e-12
+    below, at, above = (conc + dil for conc, dil in exact)
+    assert min(below, above) >= at - 1e-12
 
 
 class TestMonotonicityAndBounds:
