@@ -24,10 +24,8 @@ from .conversion import (
     flatten_index,
 )
 from .spectrum import (
-    Level,
     LeveledSpectrum,
     SchmidtVector,
-    level_boundaries,
     log2_int,
     log2_prefix_mass,
     log2_prefix_sqrt_mass,
@@ -35,7 +33,6 @@ from .spectrum import (
     make_schmidt,
     power_spectrum,
     prefix_mass,
-    prefix_sqrt_mass,
 )
 from .tradeoff import (
     TradeoffResult,
@@ -50,7 +47,6 @@ __all__ = [
     "__version__",
     "AsymptoticProfile",
     "ConversionResult",
-    "Level",
     "LeveledSpectrum",
     "SchmidtVector",
     "TradeoffResult",
@@ -63,7 +59,6 @@ __all__ = [
     "dilution_fidelity",
     "flatten_index",
     "generalized_mcre",
-    "level_boundaries",
     "log2_int",
     "log2_prefix_mass",
     "log2_prefix_sqrt_mass",
@@ -78,7 +73,6 @@ __all__ = [
     "normal_quantile",
     "power_spectrum",
     "prefix_mass",
-    "prefix_sqrt_mass",
     "profile",
     "prop3_limits",
     "recoverable_points",

@@ -11,14 +11,26 @@ and counts reach 2^3000 and beyond, so all counting is exact integer
 arithmetic; masses live in log2 space and are accumulated with running
 log-add in double precision, which keeps the total-mass drift around 1e-12
 for spectra with thousands of levels.
+
+The build works on whole columns.  The exponent vectors form one int64
+array and the multiplicities one list, from an exact ratio ladder that
+takes one big-by-small product per level and, when the last two value
+groups have equal sizes, runs only half its length and mirrors the rest.
+The log2 eigenvalues are one numpy product of that array with the log2
+values, summed along each row: a single float addition rounds a sum of
+one or two terms exactly as ``math.fsum`` does, while three or more terms
+keep ``math.fsum`` per row, since a plain float sum could round twice.
+One ``np.lexsort`` orders the levels by descending eigenvalue, then by
+exponent vector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,15 +129,6 @@ def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
     return SchmidtVector(probs=tuple(kept), rank=len(kept))
 
 
-@dataclass(frozen=True)
-class Level:
-    """One group of equal eigenvalues of a tensor-power spectrum."""
-
-    log2_eigenvalue: float
-    multiplicity: int
-    cumulative_count: int
-
-
 @dataclass(frozen=True, eq=False)
 class LeveledSpectrum:
     """Sorted spectrum of ``(Tr_B psi)^{(x)n}`` stored as per-level columns.
@@ -157,15 +160,6 @@ class LeveledSpectrum:
     def total_count(self) -> int:
         return self.starts[-1]
 
-    @property
-    def levels(self) -> tuple[Level, ...]:
-        """One :class:`Level` per level, built from the columns on each access."""
-        s = self.starts
-        return tuple(
-            Level(eig, s[i + 1] - s[i], s[i + 1])
-            for i, eig in enumerate(self.log2_eigenvalues.tolist())
-        )
-
 
 def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
     """Distinct probability values (by exact float equality) and group sizes."""
@@ -180,33 +174,50 @@ def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
     return values, sizes
 
 
-def _types(sizes: Sequence[int], n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(exponent vector e, multiplicity) of every type class of n copies.
+def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """Exponent vectors and multiplicities of every type class of n copies.
 
-    Over distinct values with group sizes g the multiplicity is
-    multinomial(n; e) * prod_i g_i^(e_i): choose which tensor factors fall
-    in each value class, then which of the g_i equal entries each factor
-    uses.  It splits into C(n, e_1) * g_1^(e_1) times the multiplicity of
-    the remaining groups on n - e_1 copies, and the first factor follows
-    e_1 down from n by an exact integer ratio.  When one group is left, its
-    power g_2^(n - e_1) rides along in the same ratio, so a level of two
-    groups costs products of a big integer by small ones only, never a
-    fresh big power times a big factor.
+    Returns an int64 array with one row e per type class, rows in
+    descending lexicographic order of e, and the list of the matching
+    multiplicities.  Over distinct values with group sizes g the
+    multiplicity is multinomial(n; e) * prod_i g_i^(e_i): choose which
+    tensor factors fall in each value class, then which of the g_i equal
+    entries each factor uses.  It splits into C(n, e_1) * g_1^(e_1) times
+    the multiplicity of the remaining groups on n - e_1 copies, and the
+    first factor follows e_1 down from n by an exact integer ratio.  When
+    one group is left, its power h^(n - e_1) rides along in the same ratio,
+    folded into one step ``head * (e * h) // ((n - e + 1) * g)``: a big
+    integer times a small one, then divided by a small one.  When the last
+    two groups have equal sizes (every qubit), the counts are g^n C(n, e),
+    symmetric in e <-> n - e, so only half the ladder is run and the other
+    half is its mirror image.
     """
     g, rest = sizes[0], sizes[1:]
     if not rest:
-        yield (n,), g**n
-        return
-    last = len(rest) == 1
-    h = rest[0] if last else 1
+        return np.array([[n]], dtype=np.int64), [g**n]
+    if len(rest) == 1:
+        h = rest[0]
+        e_col = np.arange(n, -1, -1, dtype=np.int64)
+        head = g**n
+        mults = [head]
+        for e in range(n, n - n // 2 if g == h else 0, -1):
+            head = head * (e * h) // ((n - e + 1) * g)
+            mults.append(head)
+        if g == h:
+            # Fresh ints (m + 0), not shared references.  The build frees each
+            # count as it is summed; a shared object is freed only at its
+            # second pop.  For a qubit at n = 3e4 sharing left tracemalloc's
+            # peak as it was but raised ru_maxrss from 133 to 148 MB.
+            mults.extend(m + 0 for m in reversed(mults[: (n + 1) // 2]))
+        return np.column_stack((e_col, n - e_col)), mults
+    blocks, mults = [], []
     head = g**n
     for e in range(n, -1, -1):
-        if last:
-            yield (e, n - e), head
-        else:
-            for exps, mult in _types(rest, n - e):
-                yield (e, *exps), head * mult
-        head = head * e * h // ((n - e + 1) * g)
+        sub_exps, sub_mults = _type_columns(rest, n - e)
+        blocks.append(np.column_stack((np.full(len(sub_mults), e, dtype=np.int64), sub_exps)))
+        mults.extend(head * m for m in sub_mults)
+        head = head * e // ((n - e + 1) * g)
+    return np.concatenate(blocks), mults
 
 
 def _build_bytes(levels: int, n: int, rank: int) -> float:
@@ -236,25 +247,39 @@ def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     # Numerically equal eigenvalues from different exponent vectors are
     # deliberately kept separate: every downstream quantity depends only on
     # the eigenvalue multiset, and the exponent vector gives a deterministic
-    # secondary sort key.  fsum rounds each eigenvalue once from its exact
-    # terms for any number of distinct values, and gives +0.0 at n = 0.
-    log2_values = [math.log2(v) for v in values]
-    entries = sorted(
-        (
-            (math.fsum(e * lv for e, lv in zip(exps, log2_values)), exps, mult)
-            for exps, mult in _types(sizes, n)
-        ),
-        key=lambda item: (-item[0], item[1]),
+    # secondary sort key.  Each eigenvalue is the exactly rounded sum of its
+    # products e * log2(value), which numpy forms exactly as Python floats
+    # do.  For one or two distinct values a single float addition is that
+    # rounded sum; + 0.0 makes a -0.0 sum (all products -0.0 at n = 0) the
+    # +0.0 that fsum gives, whatever value numpy starts its reduction from.
+    # Three or more terms need fsum.
+    exps, mults = _type_columns(sizes, n)
+    prods = exps * np.array([math.log2(v) for v in values])
+    if len(values) <= 2:
+        eigs = prods.sum(axis=1) + 0.0
+    else:
+        # A few thousand rows at a time: one list of lists for the whole
+        # array raised ru_maxrss by 4 MB at rank 3, n = 300.
+        eigs = np.array(
+            [math.fsum(row) for i in range(0, len(prods), 4096) for row in prods[i : i + 4096].tolist()],
+            dtype=np.float64,
+        )
+    order = np.lexsort((*exps.T[::-1], -eigs))
+    log2_eigs = eigs[order]
+    mults = [mults[i] for i in order.tolist()]
+    # log2_int, inlined: a call per level would cost about as much as its work.
+    log2_mults = np.array(
+        [
+            math.log2(m) if (b := m.bit_length()) <= 53 else math.log2(m >> (b - 53)) + (b - 53)
+            for m in mults
+        ],
+        dtype=np.float64,
     )
-    log2_eigs = np.array([eig for eig, _, _ in entries], dtype=np.float64)
-    log2_mults = np.empty(n_levels, dtype=np.float64)
-    starts = [0]
-    for i, (_, _, mult) in enumerate(entries):
-        # Drop each big multiplicity once it is counted, so the spectrum's
-        # big integers are never held twice.
-        entries[i] = None
-        log2_mults[i] = log2_int(mult)
-        starts.append(starts[-1] + mult)
+    # Pop each big multiplicity as it is counted, down to the None put under
+    # them, so the spectrum's big integers are never held twice.
+    mults.append(None)
+    mults.reverse()
+    starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
 
@@ -274,7 +299,7 @@ def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     return LeveledSpectrum(
         base=sv,
         copies=n,
-        starts=tuple(starts),
+        starts=starts,
         log2_eigenvalues=log2_eigs,
         prefix_log2_mass=prefix_mass,
         prefix_log2_sqrt_mass=prefix_sqrt,
@@ -337,22 +362,3 @@ def prefix_mass(ls: LeveledSpectrum, count: int) -> float:
     if count < 0:
         raise ValueError("count must be non-negative")
     return min(1.0, _exp2(log2_prefix_mass(ls, count)))
-
-
-def prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
-    """Sum of sqrt(eigenvalue) over the top ``count`` entries.
-
-    The linear value overflows to inf for very large tensor powers; use
-    :func:`log2_prefix_sqrt_mass` there.
-    """
-    return _exp2(log2_prefix_sqrt_mass(ls, count))
-
-
-def level_boundaries(ls: LeveledSpectrum) -> list[tuple[int, float]]:
-    """Candidate cut positions for the flatten-index search.
-
-    Returns ``(cut, log2 eigenvalue of the entry just after the cut)`` pairs,
-    one per entry of ``starts``, the final pair carrying a ``-inf``
-    eigenvalue because nothing follows the last level.
-    """
-    return list(zip(ls.starts, ls.log2_eigenvalues.tolist() + [NEG_INF]))

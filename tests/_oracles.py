@@ -4,9 +4,12 @@ Everything here works on dense eigenvalue arrays and plain quadrature, with
 no reliance on the leveled-spectrum machinery, so agreement between the two
 paths is meaningful.  The dense power spectrum and the dense flatten scan
 themselves live in ``concrec.conversion``, where ``validate`` and the
-brute-force oracle share them.  ``full_scan_tradeoff`` is the exception: it
-runs the library's own per-m conversions over every EPR count, as the
-reference for the windowed search over m.
+brute-force oracle share them.  Two references are the exception.
+``reference_power_spectrum`` is the per-level build of a leveled spectrum,
+one Python tuple per type class, as the reference for the library's
+columnar build.  ``full_scan_tradeoff`` runs the library's own per-m
+conversions over every EPR count, as the reference for the windowed search
+over m.
 """
 
 import bisect
@@ -16,6 +19,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from concrec import TradeoffResult, power_spectrum
+from concrec.spectrum import NEG_INF, LeveledSpectrum, _distinct_groups, log2_int
 from concrec.conversion import (
     concentration_fidelity,
     dense_flatten_index,
@@ -103,6 +107,62 @@ def exact_qubit_errors(probs, n: int, dims):
             ).sqrt()
             results.append((float(1 - fidelity * fidelity), float(dil)))
     return results
+
+
+def _reference_types(sizes, n: int):
+    """(exponent vector e, multiplicity) of every type class of n copies, in
+    descending lexicographic order of e, one exact ratio step per level."""
+    g, rest = sizes[0], sizes[1:]
+    if not rest:
+        yield (n,), g**n
+        return
+    last = len(rest) == 1
+    h = rest[0] if last else 1
+    head = g**n
+    for e in range(n, -1, -1):
+        if last:
+            yield (e, n - e), head
+        else:
+            for exps, mult in _reference_types(rest, n - e):
+                yield (e, *exps), head * mult
+        head = head * e * h // ((n - e + 1) * g)
+
+
+def reference_power_spectrum(sv, n: int) -> LeveledSpectrum:
+    """Leveled spectrum built one level at a time.
+
+    Each eigenvalue is the fsum of its exponent-weighted log2 values, the
+    levels are sorted as Python tuples by (-eigenvalue, exponent vector),
+    and ``starts`` accumulates the multiplicities one by one.
+    """
+    values, sizes = _distinct_groups(sv)
+    log2_values = [math.log2(v) for v in values]
+    entries = sorted(
+        (
+            (math.fsum(e * lv for e, lv in zip(exps, log2_values)), exps, mult)
+            for exps, mult in _reference_types(sizes, n)
+        ),
+        key=lambda item: (-item[0], item[1]),
+    )
+    log2_eigs = np.array([eig for eig, _, _ in entries], dtype=np.float64)
+    log2_mults = np.array([log2_int(mult) for _, _, mult in entries], dtype=np.float64)
+    starts = [0]
+    for _, _, mult in entries:
+        starts.append(starts[-1] + mult)
+    assert starts[-1] == sv.rank**n
+    level_log2_mass = log2_mults + log2_eigs
+    suffix = np.empty(len(entries) + 1, dtype=np.float64)
+    suffix[-1] = NEG_INF
+    suffix[:-1] = np.logaddexp2.accumulate(level_log2_mass[::-1])[::-1]
+    return LeveledSpectrum(
+        base=sv,
+        copies=n,
+        starts=tuple(starts),
+        log2_eigenvalues=log2_eigs,
+        prefix_log2_mass=np.logaddexp2.accumulate(level_log2_mass),
+        prefix_log2_sqrt_mass=np.logaddexp2.accumulate(log2_mults + 0.5 * log2_eigs),
+        suffix_log2_mass=suffix,
+    )
 
 
 def dense_delta(probs, n: int, N: int, cache=None) -> float:

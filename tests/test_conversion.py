@@ -61,11 +61,12 @@ class TestFlattenIndex:
     def test_binary_search_matches_linear_boundary_scan_at_scale(self):
         # The binary search relies on the condition being monotone over
         # level boundaries; replay it as a linear scan on a large spectrum.
-        from concrec import level_boundaries, log2_int, log2_tail_mass
+        from concrec import log2_int, log2_tail_mass
 
         sv = make_schmidt([0.9, 0.1])
         ls = power_spectrum(sv, 3000)
-        pairs = level_boundaries(ls)
+        # Each boundary's cut, with the log2 eigenvalue of the level after it.
+        pairs = list(zip(ls.starts, [*ls.log2_eigenvalues.tolist(), -math.inf]))
         for m in (1, 2, 17, 300, 1406, 1500, 2999, 3000, 5999, 6000):
             L = 1 << m
             expected = None

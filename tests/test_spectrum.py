@@ -6,13 +6,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concrec import (
-    Level,
     SchmidtVector,
-    level_boundaries,
     log2_int,
     log2_prefix_mass,
     log2_prefix_sqrt_mass,
@@ -20,7 +18,6 @@ from concrec import (
     make_schmidt,
     power_spectrum,
     prefix_mass,
-    prefix_sqrt_mass,
 )
 from concrec.errors import (
     CountExceedsTotal,
@@ -31,7 +28,12 @@ from concrec.errors import (
 )
 from concrec.spectrum import _build_bytes
 
-from _oracles import dense_power_spectrum
+from _oracles import dense_power_spectrum, reference_power_spectrum
+
+
+def _mults(ls):
+    """Per-level multiplicities, from the ``starts`` column."""
+    return [b - a for a, b in itertools.pairwise(ls.starts)]
 
 
 class TestMakeSchmidt:
@@ -90,20 +92,22 @@ class TestMakeSchmidt:
 class TestPowerSpectrum:
     def test_qubit_square(self):
         ls = power_spectrum(make_schmidt([0.1, 0.9]), 2)
-        eigs = [2.0**lv.log2_eigenvalue for lv in ls.levels]
+        eigs = np.power(2.0, ls.log2_eigenvalues).tolist()
         assert eigs == pytest.approx([0.81, 0.09, 0.01], abs=1e-15)
-        assert [lv.multiplicity for lv in ls.levels] == [1, 2, 1]
-        assert [lv.cumulative_count for lv in ls.levels] == [1, 3, 4]
+        assert _mults(ls) == [1, 2, 1]
+        assert list(ls.starts[1:]) == [1, 3, 4]
 
     def test_uniform_single_level(self):
         ls = power_spectrum(make_schmidt([0.5, 0.5]), 3)
         assert ls.num_levels == 1
-        assert ls.levels[0] == Level(-3.0, 8, 8)
+        assert ls.log2_eigenvalues[0] == -3.0
+        assert ls.starts == (0, 8)
 
     def test_zero_copies(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 0)
         assert ls.num_levels == 1
-        assert ls.levels[0] == Level(0.0, 1, 1)
+        assert ls.log2_eigenvalues[0] == 0.0
+        assert ls.starts == (0, 1)
         # The empty product is +0.0 whatever the number of distinct values.
         for probs in ([1.0], [0.5, 0.5], [0.9, 0.1], [0.6, 0.3, 0.1], [0.4, 0.3, 0.2, 0.1]):
             eig = power_spectrum(make_schmidt(probs), 0).log2_eigenvalues[0]
@@ -113,7 +117,7 @@ class TestPowerSpectrum:
         # (0.5, 0.25, 0.25) has two distinct values; levels follow the
         # two-value ladder with group size 2 on the smaller value.
         ls = power_spectrum(make_schmidt([0.5, 0.25, 0.25]), 2)
-        assert [lv.multiplicity for lv in ls.levels] == [1, 4, 4]
+        assert _mults(ls) == [1, 4, 4]
         assert ls.total_count == 9
 
     def test_accidental_collision_not_merged(self):
@@ -122,12 +126,9 @@ class TestPowerSpectrum:
         # levels and only the eigenvalue multiset matters downstream.
         sv = make_schmidt([0.5, 0.25, 0.125, 0.125])
         ls = power_spectrum(sv, 2)
-        colliding = [lv for lv in ls.levels if lv.log2_eigenvalue == -4.0]
-        assert len(colliding) == 2
+        assert np.count_nonzero(ls.log2_eigenvalues == -4.0) == 2
         assert ls.total_count == 16
-        expanded = np.repeat(
-            np.power(2.0, ls.log2_eigenvalues), [lv.multiplicity for lv in ls.levels]
-        )
+        expanded = np.repeat(np.power(2.0, ls.log2_eigenvalues), np.diff(ls.starts))
         dense = dense_power_spectrum(sv.probs, 2)
         assert float(np.max(np.abs(expanded - dense))) <= 1e-15
 
@@ -146,10 +147,7 @@ class TestPowerSpectrum:
         sv = make_schmidt(probs)
         for n in range(0, 13):
             ls = power_spectrum(sv, n)
-            expanded = np.repeat(
-                np.power(2.0, ls.log2_eigenvalues),
-                [lv.multiplicity for lv in ls.levels],
-            )
+            expanded = np.repeat(np.power(2.0, ls.log2_eigenvalues), np.diff(ls.starts))
             dense = dense_power_spectrum(sv.probs, n)
             assert expanded.shape == dense.shape
             assert float(np.max(np.abs(expanded - dense))) <= 1e-12
@@ -164,24 +162,24 @@ class TestPowerSpectrum:
     def test_exact_counts_qubit_n300(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 300)
         acc = 0
-        for k, lv in enumerate(ls.levels):
-            assert lv.multiplicity == math.comb(300, k)
+        for k, mult in enumerate(_mults(ls)):
+            assert mult == math.comb(300, k)
             acc += math.comb(300, k)
-            assert lv.cumulative_count == acc
+            assert ls.starts[k + 1] == acc
         assert ls.total_count == 2**300
 
     def test_exact_counts_grouped_n300(self):
         # two distinct values with group sizes (1, 2): mult = C(n,k) * 2^k
         ls = power_spectrum(make_schmidt([0.5, 0.25, 0.25]), 300)
-        for k, lv in enumerate(ls.levels):
-            assert lv.multiplicity == math.comb(300, k) * 2**k
+        for k, mult in enumerate(_mults(ls)):
+            assert mult == math.comb(300, k) * 2**k
         assert ls.total_count == 3**300
 
     def test_exact_counts_three_distinct(self):
         sv = make_schmidt([0.6, 0.3, 0.1])
         n = 40
         ls = power_spectrum(sv, n)
-        total = sum(lv.multiplicity for lv in ls.levels)
+        total = sum(_mults(ls))
         assert total == 3**n == ls.total_count
 
     @pytest.mark.parametrize(
@@ -206,7 +204,7 @@ class TestPowerSpectrum:
             log2_eig = math.fsum(e * lv for e, lv in zip(exps, log2_values))
             expected[(log2_eig, mult)] += 1
         ls = power_spectrum(sv, n)
-        assert Counter((lv.log2_eigenvalue, lv.multiplicity) for lv in ls.levels) == expected
+        assert Counter(zip(ls.log2_eigenvalues.tolist(), _mults(ls))) == expected
         assert ls.total_count == sv.rank**n
 
     def test_arrays_read_only(self):
@@ -234,17 +232,17 @@ class TestPrefixQueries:
     def test_prefix_sqrt_examples(self):
         sv = make_schmidt([0.9, 0.1])
         one = power_spectrum(sv, 1)
-        assert prefix_sqrt_mass(one, 2) == pytest.approx(
+        assert 2.0 ** log2_prefix_sqrt_mass(one, 2) == pytest.approx(
             math.sqrt(0.9) + math.sqrt(0.1), abs=1e-12
         )
         two = power_spectrum(sv, 2)
-        assert prefix_sqrt_mass(two, 4) == pytest.approx(1.6, abs=1e-9)
-        assert prefix_sqrt_mass(two, 0) == 0.0
+        assert 2.0 ** log2_prefix_sqrt_mass(two, 4) == pytest.approx(1.6, abs=1e-9)
+        assert 2.0 ** log2_prefix_sqrt_mass(two, 0) == 0.0
 
     def test_prefix_sqrt_count_exceeds(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 2)
         with pytest.raises(CountExceedsTotal):
-            prefix_sqrt_mass(ls, 5)
+            log2_prefix_sqrt_mass(ls, 5)
 
     def test_partial_level_prefix(self):
         ls = power_spectrum(make_schmidt([0.1, 0.9]), 2)
@@ -278,16 +276,16 @@ class TestPrefixQueries:
         ls = power_spectrum(make_schmidt([0.6, 0.3, 0.1]), 9)
         prev_mass = 0.0
         prev_rate = math.inf
-        for lv in ls.levels:
-            mass = prefix_mass(ls, lv.cumulative_count)
+        for mult, cumulative in zip(_mults(ls), ls.starts[1:]):
+            mass = prefix_mass(ls, cumulative)
             assert mass >= prev_mass - 1e-15
-            rate = (mass - prev_mass) / lv.multiplicity
+            rate = (mass - prev_mass) / mult
             assert rate <= prev_rate + 1e-15
             prev_mass, prev_rate = mass, rate
 
 
 @st.composite
-def tied_spectra(draw):
+def tied_spectra(draw, max_n=40):
     """A rank 1-4 state whose entries repeat in groups, and a copy count."""
     rank = draw(st.integers(1, 4))
     cuts = sorted(draw(st.sets(st.integers(1, rank - 1)))) if rank > 1 else []
@@ -295,7 +293,7 @@ def tied_spectra(draw):
     values = draw(st.lists(st.integers(1, 20), min_size=len(sizes), max_size=len(sizes), unique=True))
     weights = [v for v, size in zip(values, sizes) for _ in range(size)]
     sv = make_schmidt([w / sum(weights) for w in weights])
-    return sv, draw(st.integers(0, 40))
+    return sv, draw(st.integers(0, max_n))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -304,7 +302,8 @@ def test_prefix_and_tail_partition_property(case):
     sv, n = case
     ls = power_spectrum(sv, n)
     total = ls.total_count
-    assert [cut for cut, _ in level_boundaries(ls)] == list(ls.starts)
+    assert ls.starts[0] == 0 and len(ls.starts) == ls.num_levels + 1
+    assert all(a < b for a, b in itertools.pairwise(ls.starts))
     counts = sorted(
         {0, total} | {c for s in ls.starts for c in (s - 1, s, s + 1) if 0 <= c <= total}
     )
@@ -322,24 +321,62 @@ def test_prefix_and_tail_partition_property(case):
     for c, head, tail in zip(counts, heads, tails):
         assert head == pytest.approx(dense_head[c], abs=1e-12)
         assert tail == pytest.approx(dense_tail[c], abs=1e-12)
-        assert prefix_sqrt_mass(ls, c) == pytest.approx(dense_sqrt[c], rel=1e-12, abs=0.0)
+        sqrt_mass = 2.0 ** log2_prefix_sqrt_mass(ls, c)
+        assert sqrt_mass == pytest.approx(dense_sqrt[c], rel=1e-12, abs=0.0)
+
+
+def _assert_same_build(sv, n):
+    """The columnar build equals the per-level reference bit for bit;
+    comparing bytes also tells +0.0 from -0.0."""
+    got, ref = power_spectrum(sv, n), reference_power_spectrum(sv, n)
+    assert got.starts == ref.starts
+    for column in ("log2_eigenvalues", "prefix_log2_mass", "prefix_log2_sqrt_mass", "suffix_log2_mass"):
+        assert getattr(got, column).tobytes() == getattr(ref, column).tobytes(), column
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tied_spectra(max_n=60))
+@example((make_schmidt([0.4, 0.2, 0.2, 0.2]), 59))
+@example((make_schmidt([0.4, 0.2, 0.2, 0.2]), 60))
+@example((make_schmidt([0.9, 0.1]), 59))
+@example((make_schmidt([0.9, 0.1]), 60))
+def test_build_matches_per_level_reference(case):
+    _assert_same_build(*case)
+
+
+@pytest.mark.parametrize(
+    "probs, n",
+    [
+        ((0.9, 0.1), 3000),
+        ((0.5, 0.3, 0.2), 300),
+        ((1.0,), 0),
+        ((0.9, 0.1), 0),
+        ((0.5, 0.5), 0),
+        ((0.6, 0.3, 0.1), 0),
+        ((0.4, 0.3, 0.3), 0),
+        # Powers of two tie exactly across exponent vectors, where only the
+        # exponent tie-break orders the levels.
+        ((0.5, 0.25, 0.125, 0.0625, 0.0625), 12),
+    ],
+)
+def test_build_matches_per_level_reference_seeded(probs, n):
+    _assert_same_build(make_schmidt(probs), n)
 
 
 class TestLevelBoundaries:
     def test_examples(self):
-        cuts = [c for c, _ in level_boundaries(power_spectrum(make_schmidt([0.1, 0.9]), 2))]
-        assert cuts == [0, 1, 3, 4]
-        cuts = [c for c, _ in level_boundaries(power_spectrum(make_schmidt([0.5, 0.5]), 3))]
-        assert cuts == [0, 8]
-        cuts = [c for c, _ in level_boundaries(power_spectrum(make_schmidt([0.9, 0.1]), 0))]
-        assert cuts == [0, 1]
+        assert power_spectrum(make_schmidt([0.1, 0.9]), 2).starts == (0, 1, 3, 4)
+        assert power_spectrum(make_schmidt([0.5, 0.5]), 3).starts == (0, 8)
+        assert power_spectrum(make_schmidt([0.9, 0.1]), 0).starts == (0, 1)
 
     def test_pairs_carry_next_eigenvalue(self):
         ls = power_spectrum(make_schmidt([0.1, 0.9]), 2)
-        pairs = level_boundaries(ls)
-        assert pairs[0] == (0, pytest.approx(math.log2(0.81)))
-        assert pairs[1] == (1, pytest.approx(math.log2(0.09)))
-        assert pairs[-1] == (4, -math.inf)
+        # Boundary i (after starts[i] entries) is followed by level i; the
+        # last boundary by nothing, so the tail after it is empty.
+        assert (ls.starts[0], ls.log2_eigenvalues[0]) == (0, pytest.approx(math.log2(0.81)))
+        assert (ls.starts[1], ls.log2_eigenvalues[1]) == (1, pytest.approx(math.log2(0.09)))
+        assert ls.starts[-1] == 4 and len(ls.starts) == ls.num_levels + 1
+        assert ls.suffix_log2_mass[-1] == -math.inf
 
 
 class TestLog2Int:
