@@ -16,6 +16,8 @@ The build works on whole columns.  The exponent vectors form one int64
 array and the multiplicities one list, from an exact ratio ladder that
 takes one big-by-small product per level and, when the last two value
 groups have equal sizes, runs only half its length and mirrors the rest.
+When those are the only two groups (every qubit), the log2 of the counts
+is taken over that half too.
 The log2 eigenvalues are one numpy product of that array with the log2
 values, summed along each row: a single float addition rounds a sum of
 one or two terms exactly as ``math.fsum`` does, while three or more terms
@@ -30,7 +32,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -220,9 +222,21 @@ def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(blocks), mults
 
 
+def _log2_counts(counts: Iterable[int]) -> np.ndarray:
+    """log2_int of each count, inlined: a call per level would cost about as
+    much as its work."""
+    return np.array(
+        [
+            math.log2(m) if (b := m.bit_length()) <= 53 else math.log2(m >> (b - 53)) + (b - 53)
+            for m in counts
+        ],
+        dtype=np.float64,
+    )
+
+
 def _build_bytes(levels: int, n: int, rank: int) -> float:
-    """Estimated build peak: about 270 B per level plus its n*log2(rank)-bit count."""
-    return levels * (270 + n * math.log2(rank) / 8)
+    """Estimated build peak: about 180 B per level plus its n*log2(rank)-bit count."""
+    return levels * (180 + n * math.log2(rank) / 8)
 
 
 def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
@@ -266,15 +280,14 @@ def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
         )
     order = np.lexsort((*exps.T[::-1], -eigs))
     log2_eigs = eigs[order]
+    # Symmetric counts (see _type_columns): row i holds the count of row
+    # n - i, so the log2 of the first half, gathered, gives every level's.
+    if len(sizes) == 2 and sizes[0] == sizes[1]:
+        half = itertools.islice(mults, n // 2 + 1)
+        log2_mults = _log2_counts(half)[np.minimum(order, n - order)]
+    else:
+        log2_mults = _log2_counts(mults)[order]
     mults = [mults[i] for i in order.tolist()]
-    # log2_int, inlined: a call per level would cost about as much as its work.
-    log2_mults = np.array(
-        [
-            math.log2(m) if (b := m.bit_length()) <= 53 else math.log2(m >> (b - 53)) + (b - 53)
-            for m in mults
-        ],
-        dtype=np.float64,
-    )
     # Pop each big multiplicity as it is counted, down to the None put under
     # them, so the spectrum's big integers are never held twice.
     mults.append(None)

@@ -9,6 +9,11 @@ term never decreases in m and the dilution term never increases, so the
 search evaluates the anchor m0 = round(S * N) (S the entropy in bits),
 bisects for the window of m whose terms stay within delta(m0) plus a
 1e-12 slack, and scans only that window, smallest m first.
+
+The concentration term depends only on the n-copy spectrum and 2^m, not on
+N, so a search over an error grid shares its concentration errors across
+its points, as it shares the points across its budgets, and drops both on
+return.
 """
 
 from __future__ import annotations
@@ -42,7 +47,11 @@ def _ceil_log2(r: int) -> int:
     return (r - 1).bit_length()
 
 
-def _gmcre(spec_n: LeveledSpectrum, N: int) -> TradeoffResult:
+def _gmcre(
+    spec_n: LeveledSpectrum, N: int, entropy: float, conc_errors: dict[int, float]
+) -> TradeoffResult:
+    """Trade-off point at N.  ``conc_errors`` maps m to the concentration
+    error of ``spec_n`` into 2^m; it is read and filled here."""
     sv, n = spec_n.base, spec_n.copies
     spec_N = spec_n if N == n else power_spectrum(sv, N)
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
@@ -52,10 +61,9 @@ def _gmcre(spec_n: LeveledSpectrum, N: int) -> TradeoffResult:
     def at(m: int) -> tuple[float, float]:
         if m not in errors:
             L = 1 << m
-            errors[m] = (
-                concentration_fidelity(spec_n, L).error,
-                dilution_fidelity(spec_N, L).error,
-            )
+            if m not in conc_errors:
+                conc_errors[m] = concentration_fidelity(spec_n, L).error
+            errors[m] = (conc_errors[m], dilution_fidelity(spec_N, L).error)
         return errors[m]
 
     # conc never decreases in m and dil never increases, and both are >= 0,
@@ -64,7 +72,7 @@ def _gmcre(spec_n: LeveledSpectrum, N: int) -> TradeoffResult:
     # exact while no rounding moves conc down, or dil up, by the slack
     # between any two m.  Measured for qubits up to n = 3e4: the largest
     # such move is 9.6e-13 (conc, p = 0.25), and dil never rises.
-    m0 = min(max(round(profile(sv).entropy_S * N), 1), m_cap)
+    m0 = min(max(round(entropy * N), 1), m_cap)
     conc0, dil0 = at(m0)
     bound = conc0 + dil0 + _WINDOW_SLACK
     first, hi = 1, m0  # first m with dil <= bound
@@ -110,14 +118,14 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
-    return _gmcre(power_spectrum(sv, n), N)
+    return _gmcre(power_spectrum(sv, n), N, profile(sv).entropy_S, {})
 
 
 def mcre(sv: SchmidtVector, n: int) -> TradeoffResult:
     """Minimal concentration-recovery error with full recovery (N = n)."""
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
-    return _gmcre(power_spectrum(sv, n), n)
+    return _gmcre(power_spectrum(sv, n), n, profile(sv).entropy_S, {})
 
 
 def recoverable_points(
@@ -127,8 +135,9 @@ def recoverable_points(
 
     ``None`` means only N = 0 qualifies: recovering nothing costs nothing.
     Each budget is a binary search, relying on the trade-off error being
-    non-decreasing in N.  The n-copy spectrum and the points evaluated are
-    shared across the grid and dropped on return.
+    non-decreasing in N.  The n-copy spectrum, the points evaluated and
+    their concentration errors are shared across the grid and dropped on
+    return.
 
     Budgets below about 1e-12 sit in rounding noise: deltas that are 0 in
     exact arithmetic come out as noise that is not monotone in N.  There
@@ -141,14 +150,16 @@ def recoverable_points(
         if not 0.0 < eps <= 1.0:
             raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
     spec_n = power_spectrum(sv, n)
+    entropy = profile(sv).entropy_S
     points: dict[int, TradeoffResult] = {}
+    conc_errors: dict[int, float] = {}
     found: list[Union[TradeoffResult, None]] = []
     for eps in eps_grid:
         lo, hi = 0, n
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if mid not in points:
-                points[mid] = _gmcre(spec_n, mid)
+                points[mid] = _gmcre(spec_n, mid, entropy, conc_errors)
             if points[mid].delta <= eps:
                 lo = mid
             else:

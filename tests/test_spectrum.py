@@ -153,7 +153,7 @@ class TestPowerSpectrum:
             assert float(np.max(np.abs(expanded - dense))) <= 1e-12
 
     def test_level_limit(self):
-        # 4.5M levels, estimated at 3.9 GB to build: refused before enumerating.
+        # 4.5M levels, estimated at 3.5 GB to build: refused before enumerating.
         start = time.perf_counter()
         with pytest.raises(RankTooLargeForN, match="GiB"):
             power_spectrum(make_schmidt([0.5, 0.3, 0.2]), 3000)
@@ -340,6 +340,9 @@ def _assert_same_build(sv, n):
 @example((make_schmidt([0.4, 0.2, 0.2, 0.2]), 60))
 @example((make_schmidt([0.9, 0.1]), 59))
 @example((make_schmidt([0.9, 0.1]), 60))
+# Two groups of size 2: symmetric counts beyond qubits.
+@example((make_schmidt([0.3, 0.3, 0.2, 0.2]), 59))
+@example((make_schmidt([0.3, 0.3, 0.2, 0.2]), 60))
 def test_build_matches_per_level_reference(case):
     _assert_same_build(*case)
 

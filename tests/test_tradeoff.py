@@ -277,6 +277,21 @@ def test_window_converts_each_m_once(monkeypatch):
     assert len(targets) < 3000 // 10
 
 
+def test_grid_search_converts_each_concentration_dimension_once(monkeypatch):
+    targets = []
+    real = tradeoff.concentration_fidelity
+
+    def recording(ls, L):
+        targets.append(L)
+        return real(ls, L)
+
+    monkeypatch.setattr(tradeoff, "concentration_fidelity", recording)
+    grid = [0.05 * i for i in range(1, 20)]
+    recoverable_points(make_schmidt([0.1, 0.9]), 3000, grid)
+    assert targets
+    assert len(targets) == len(set(targets))
+
+
 def _assert_monotone_within_slack(sv, n):
     # The window is exact only while rounding never moves conc down, or dil
     # up, by the slack across any pair of m.
