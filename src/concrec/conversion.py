@@ -24,6 +24,7 @@ from .spectrum import (
     LeveledSpectrum,
     SchmidtVector,
     _exp2,
+    _require_complete,
     log2_int,
     power_spectrum,
     prefix_mass,
@@ -66,6 +67,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
     """
     if L < 1:
         raise InvalidDimension(f"target dimension must be >= 1, got {L}")
+    _require_complete(ls, "the flatten cut")
     starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues

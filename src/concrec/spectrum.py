@@ -24,6 +24,19 @@ one or two terms exactly as ``math.fsum`` does, while three or more terms
 keep ``math.fsum`` per row, since a plain float sum could round twice.
 One ``np.lexsort`` orders the levels by descending eigenvalue, then by
 exponent vector.
+
+A reader of only the top entries, such as dilution from an L-dimensional
+maximally entangled state, may ask for a *partial* spectrum of a rank-2
+state with unequal entries: the heaviest levels only, down to the first one
+that passes a given entry count.  For two values the ladder runs from the
+heaviest level down, which is already the sorted order whenever the float
+eigenvalues strictly decrease along it, so no sort is needed; and
+:func:`extend_spectrum` continues the ladder from its last exact count.  A
+partial spectrum holds ``starts``, the log2 eigenvalues and the prefix log2
+mass of its levels, each equal bit for bit to the leading entries of the
+full build, since ``np.logaddexp2.accumulate`` is a running sum.  It
+answers prefix-mass queries up to its built count and raises
+``CountExceedsTotal`` for any other query.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -144,6 +157,14 @@ class LeveledSpectrum:
     sentinel so ``suffix_log2_mass[i]`` is always the mass of levels ``i..``.
     Instances are immutable; every query below is pure and safe to call
     concurrently.
+
+    A *partial* spectrum (``complete`` is False) holds only the heaviest
+    levels: their ``starts``, ``log2_eigenvalues`` and ``prefix_log2_mass``,
+    with ``None`` for the square-root and suffix columns, so its
+    ``total_count`` is the number of entries those levels hold.  It answers
+    ``log2_prefix_mass`` and ``prefix_mass`` (and so dilution) up to
+    ``total_count``.  A larger count, and every other query, raises
+    ``CountExceedsTotal``.
     """
 
     base: SchmidtVector
@@ -151,8 +172,8 @@ class LeveledSpectrum:
     starts: tuple[int, ...]
     log2_eigenvalues: np.ndarray
     prefix_log2_mass: np.ndarray
-    prefix_log2_sqrt_mass: np.ndarray
-    suffix_log2_mass: np.ndarray
+    prefix_log2_sqrt_mass: Optional[np.ndarray]
+    suffix_log2_mass: Optional[np.ndarray]
 
     @property
     def num_levels(self) -> int:
@@ -161,6 +182,19 @@ class LeveledSpectrum:
     @property
     def total_count(self) -> int:
         return self.starts[-1]
+
+    @property
+    def complete(self) -> bool:
+        return self.suffix_log2_mass is not None
+
+
+def _require_complete(ls: LeveledSpectrum, query: str) -> None:
+    """Raise ``CountExceedsTotal`` when ``ls`` is partial: ``query`` reads
+    past its built levels."""
+    if not ls.complete:
+        raise CountExceedsTotal(
+            f"{query} reads past the {ls.num_levels} levels of a partial spectrum"
+        )
 
 
 def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
@@ -239,13 +273,42 @@ def _build_bytes(levels: int, n: int, rank: int) -> float:
     return levels * (180 + n * math.log2(rank) / 8)
 
 
-def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
+def _log2_eigs(exps: np.ndarray, values: Sequence[float]) -> np.ndarray:
+    """log2 eigenvalue of each row of exponents against the distinct values.
+
+    Each is the exactly rounded sum of its products e * log2(value), which
+    numpy forms exactly as Python floats do.  For one or two distinct values
+    a single float addition is that rounded sum, taken column by column
+    (numpy's row sum over two columns is several times slower); + 0.0 makes
+    a -0.0 sum (all products -0.0 at n = 0) the +0.0 that fsum gives.  Three
+    or more terms need fsum.
+    """
+    if len(values) <= 2:
+        return sum(exps[:, j] * math.log2(v) for j, v in enumerate(values)) + 0.0
+    prods = exps * np.array([math.log2(v) for v in values])
+    # A few thousand rows at a time: one list of lists for the whole
+    # array raised ru_maxrss by 4 MB at rank 3, n = 300.
+    return np.array(
+        [math.fsum(row) for i in range(0, len(prods), 4096) for row in prods[i : i + 4096].tolist()],
+        dtype=np.float64,
+    )
+
+
+def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> LeveledSpectrum:
     """Leveled spectrum of the n-fold tensor power of ``diag(sv.probs)``.
+
+    Given ``count``, a rank-2 state with unequal entries gets a
+    partial spectrum (see :class:`LeveledSpectrum`): its heaviest levels,
+    down to the first that brings the entries held to ``count`` or more.
+    The full spectrum is built instead when ``count`` reaches ``2**n``, when
+    those levels pass the first half of the ladder (n // 2 + 1 levels, the
+    half the full build runs), or when the float eigenvalues do not strictly
+    decrease down the ladder (p within rounding of 1/2).
 
     Raises
     ------
     RankTooLargeForN
-        If the estimated build peak exceeds ``BUILD_BUDGET_BYTES``.
+        If the estimated peak of the full build exceeds ``BUILD_BUDGET_BYTES``.
     """
     if n < 0:
         raise ValueError("copy count must be non-negative")
@@ -257,27 +320,101 @@ def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
             f"{n_levels} levels for rank {sv.rank} at n={n} need about "
             f"{need / 2**30:.1f} GiB to build, over the {BUILD_BUDGET_BYTES >> 30} GiB budget"
         )
+    if count is not None:
+        if count < 1:
+            raise ValueError("count must be positive")
+        if sizes == [1, 1]:
+            partial = _leading_levels(sv, n, count, None)
+            if partial is not None:
+                return partial
+    return _full_spectrum(sv, n, values, sizes)
 
+
+def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
+    """``ls`` built far enough down to hold its top ``count`` entries.
+
+    Returns ``ls`` itself when it is complete or already holds them.  A
+    partial spectrum is continued from its last level, so no built level is
+    computed again, or replaced by the full build in the cases where
+    :func:`power_spectrum` builds in full.
+    """
+    if ls.complete or count <= ls.total_count:
+        return ls
+    longer = _leading_levels(ls.base, ls.copies, count, ls)
+    if longer is not None:
+        return longer
+    values, sizes = _distinct_groups(ls.base)
+    return _full_spectrum(ls.base, ls.copies, values, sizes)
+
+
+def _leading_levels(
+    sv: SchmidtVector, n: int, count: int, built: Optional[LeveledSpectrum]
+) -> Optional[LeveledSpectrum]:
+    """Partial n-copy spectrum of a rank-2 state with unequal entries that
+    holds at least ``count`` entries, from level 0 or continuing the partial
+    spectrum ``built``; None where :func:`power_spectrum` builds in full.
+
+    Level k holds the C(n, k) entries with k factors of the smaller value,
+    and the ladder steps C(n, k) = C(n, k - 1) * (n - k + 1) // k exactly.
+    In place of the full build's rank^n count check and total-mass guard,
+    the last count must equal ``math.comb(n, k)`` and the prefix log2 mass
+    must stay within the mass guard of 0.
+    """
+    if count >= 1 << n:
+        return None
+    # The eigenvalues of every level, so that the ladder order is known to
+    # be the order the full build sorts them into, not only along the prefix.
+    e = np.arange(n, -1, -1, dtype=np.int64)
+    eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
+    if not np.all(eigs[1:] < eigs[:-1]):
+        return None
+    if built is None:
+        starts, head, prefix = [0], 0, eigs[:0]
+    else:
+        starts, prefix = list(built.starts), built.prefix_log2_mass
+        head = starts[-1] - starts[-2]
+    k0 = k = len(starts) - 1
+    heads = []
+    while starts[-1] < count:
+        if k > n // 2:
+            return None
+        head = head * (n - k + 1) // k if k else 1
+        heads.append(head)
+        starts.append(starts[-1] + head)
+        k += 1
+    if head != math.comb(n, k - 1):
+        raise ArithmeticError("ladder count differs from the binomial count")
+    # Seeded with the last built prefix value, the running log-add continues
+    # exactly where the built levels stopped.
+    masses = _log2_counts(heads) + eigs[k0:k]
+    tail = np.logaddexp2.accumulate(np.concatenate((prefix[-1:], masses)))
+    prefix = np.concatenate((prefix[:-1], tail))
+    if prefix[-1] > _MASS_GUARD:
+        raise ArithmeticError("spectrum mass exceeds 1; construction is broken")
+    log2_eigs = eigs[:k].copy()
+    for arr in (log2_eigs, prefix):
+        arr.flags.writeable = False
+    return LeveledSpectrum(
+        base=sv,
+        copies=n,
+        starts=tuple(starts),
+        log2_eigenvalues=log2_eigs,
+        prefix_log2_mass=prefix,
+        prefix_log2_sqrt_mass=None,
+        suffix_log2_mass=None,
+    )
+
+
+def _full_spectrum(
+    sv: SchmidtVector, n: int, values: Sequence[float], sizes: Sequence[int]
+) -> LeveledSpectrum:
+    """Every level of the n-copy spectrum, with every column."""
     # Numerically equal eigenvalues from different exponent vectors are
     # deliberately kept separate: every downstream quantity depends only on
     # the eigenvalue multiset, and the exponent vector gives a deterministic
-    # secondary sort key.  Each eigenvalue is the exactly rounded sum of its
-    # products e * log2(value), which numpy forms exactly as Python floats
-    # do.  For one or two distinct values a single float addition is that
-    # rounded sum; + 0.0 makes a -0.0 sum (all products -0.0 at n = 0) the
-    # +0.0 that fsum gives, whatever value numpy starts its reduction from.
-    # Three or more terms need fsum.
+    # secondary sort key.
     exps, mults = _type_columns(sizes, n)
-    prods = exps * np.array([math.log2(v) for v in values])
-    if len(values) <= 2:
-        eigs = prods.sum(axis=1) + 0.0
-    else:
-        # A few thousand rows at a time: one list of lists for the whole
-        # array raised ru_maxrss by 4 MB at rank 3, n = 300.
-        eigs = np.array(
-            [math.fsum(row) for i in range(0, len(prods), 4096) for row in prods[i : i + 4096].tolist()],
-            dtype=np.float64,
-        )
+    eigs = _log2_eigs(exps, values)
     order = np.lexsort((*exps.T[::-1], -eigs))
     log2_eigs = eigs[order]
     # Symmetric counts (see _type_columns): row i holds the count of row
@@ -301,7 +438,7 @@ def power_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
 
     prefix_mass = np.logaddexp2.accumulate(level_log2_mass)
     prefix_sqrt = np.logaddexp2.accumulate(level_log2_sqrt)
-    suffix = np.empty(n_levels + 1, dtype=np.float64)
+    suffix = np.empty(len(log2_eigs) + 1, dtype=np.float64)
     suffix[-1] = NEG_INF
     suffix[:-1] = np.logaddexp2.accumulate(level_log2_mass[::-1])[::-1]
     if abs(prefix_mass[-1]) > _MASS_GUARD:
@@ -344,16 +481,24 @@ def _log2_split(
 
 
 def log2_prefix_mass(ls: LeveledSpectrum, count: int) -> float:
-    """log2 of the sum of the top ``count`` eigenvalues; clamps beyond total."""
+    """log2 of the sum of the top ``count`` eigenvalues.
+
+    Beyond the total, a complete spectrum clamps and a partial one raises
+    ``CountExceedsTotal``.
+    """
     if count <= 0:
         return NEG_INF
-    return _log2_split(ls, min(count, ls.total_count), ls.prefix_log2_mass, 1.0, False)
+    if count > ls.total_count:
+        _require_complete(ls, f"a prefix of {count} entries")
+        count = ls.total_count
+    return _log2_split(ls, count, ls.prefix_log2_mass, 1.0, False)
 
 
 def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the sum of sqrt(eigenvalue) over the top ``count`` entries."""
     if count < 0:
         raise ValueError("count must be non-negative")
+    _require_complete(ls, "the square-root mass")
     if count > ls.total_count:
         raise CountExceedsTotal(f"count {count} exceeds total {ls.total_count}")
     if count == 0:
@@ -363,6 +508,7 @@ def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
 
 def log2_tail_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the eigenvalue mass strictly after the top ``count`` entries."""
+    _require_complete(ls, "the tail mass")
     count = min(max(count, 0), ls.total_count)
     return _log2_split(ls, count, ls.suffix_log2_mass, 1.0, True)
 
@@ -370,7 +516,8 @@ def log2_tail_mass(ls: LeveledSpectrum, count: int) -> float:
 def prefix_mass(ls: LeveledSpectrum, count: int) -> float:
     """Sum of the top ``count`` sorted eigenvalues, in [0, 1].
 
-    Counts beyond the total clamp to the full mass.
+    Counts beyond the total clamp to the full mass on a complete spectrum
+    and raise ``CountExceedsTotal`` on a partial one.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

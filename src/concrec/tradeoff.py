@@ -14,6 +14,12 @@ The concentration term depends only on the n-copy spectrum and 2^m, not on
 N, so a search over an error grid shares its concentration errors across
 its points, as it shares the points across its budgets, and drops both on
 return.
+
+Below N = n the N-copy spectrum is read only by the dilution term, which
+reads its top 2^m entries.  So it is built as a partial spectrum (see
+``concrec.spectrum``) down to 2^m0, the window's upper end is bisected on
+concentration errors alone, and the spectrum is extended once, down to 2^m
+for that end, before the dilution bisection and the scan.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Iterable, Sequence, Union
 from .asymptotics import profile
 from .conversion import concentration_fidelity, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
-from .spectrum import LeveledSpectrum, SchmidtVector, power_spectrum
+from .spectrum import LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
 
 
 @dataclass(frozen=True)
@@ -53,18 +59,24 @@ def _gmcre(
     """Trade-off point at N.  ``conc_errors`` maps m to the concentration
     error of ``spec_n`` into 2^m; it is read and filled here."""
     sv, n = spec_n.base, spec_n.copies
-    spec_N = spec_n if N == n else power_spectrum(sv, N)
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
     m_cap = max(1, N * _ceil_log2(sv.rank))
-    errors: dict[int, tuple[float, float]] = {}
+    m0 = min(max(round(entropy * N), 1), m_cap)
+    # Dilution reads only the top 2^m entries, so below N = n the N-copy
+    # spectrum is built only down to 2^m0, and extended once the window's
+    # largest m is known.
+    spec_N = spec_n if N == n else power_spectrum(sv, N, 1 << m0)
+    dil_errors: dict[int, float] = {}
 
-    def at(m: int) -> tuple[float, float]:
-        if m not in errors:
-            L = 1 << m
-            if m not in conc_errors:
-                conc_errors[m] = concentration_fidelity(spec_n, L).error
-            errors[m] = (conc_errors[m], dilution_fidelity(spec_N, L).error)
-        return errors[m]
+    def conc(m: int) -> float:
+        if m not in conc_errors:
+            conc_errors[m] = concentration_fidelity(spec_n, 1 << m).error
+        return conc_errors[m]
+
+    def dil(m: int) -> float:
+        if m not in dil_errors:
+            dil_errors[m] = dilution_fidelity(spec_N, 1 << m).error
+        return dil_errors[m]
 
     # conc never decreases in m and dil never increases, and both are >= 0,
     # so every m with delta(m) <= delta(m0) lies between the first m with
@@ -72,29 +84,27 @@ def _gmcre(
     # exact while no rounding moves conc down, or dil up, by the slack
     # between any two m.  Measured for qubits up to n = 3e4: the largest
     # such move is 9.6e-13 (conc, p = 0.25), and dil never rises.
-    m0 = min(max(round(entropy * N), 1), m_cap)
-    conc0, dil0 = at(m0)
-    bound = conc0 + dil0 + _WINDOW_SLACK
-    first, hi = 1, m0  # first m with dil <= bound
-    while first < hi:
-        mid = (first + hi) // 2
-        if at(mid)[1] <= bound:
-            hi = mid
-        else:
-            first = mid + 1
+    bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     lo, last = m0, m_cap  # last m with conc <= bound
     while lo < last:
         mid = (lo + last + 1) // 2
-        if at(mid)[0] <= bound:
+        if conc(mid) <= bound:
             lo = mid
         else:
             last = mid - 1
+    spec_N = extend_spectrum(spec_N, 1 << last)
+    first, hi = 1, m0  # first m with dil <= bound
+    while first < hi:
+        mid = (first + hi) // 2
+        if dil(mid) <= bound:
+            hi = mid
+        else:
+            first = mid + 1
     best: Union[tuple[float, int, float, float], None] = None
     for m in range(first, last + 1):
-        conc, dil = at(m)
-        delta = conc + dil
-        if best is None or delta < best[0]:
-            best = (delta, m, conc, dil)
+        c, d = conc(m), dil(m)
+        if best is None or c + d < best[0]:
+            best = (c + d, m, c, d)
     assert best is not None
     return TradeoffResult(
         delta=best[0],

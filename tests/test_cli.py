@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -93,10 +95,14 @@ class TestFig:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["fig", "--id", "2", "--kmax", "5", "--jobs", "4"]
         assert run(args + ["--out", str(a)]) == 0
+        # The fresh process imports the same sources as this one.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "concrec", *args, "--out", str(b)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert a.read_bytes() == b.read_bytes()
@@ -260,9 +266,9 @@ def _count_builds(monkeypatch):
     built = Counter()
     real = spectrum.power_spectrum
 
-    def counting(sv, copies):
+    def counting(sv, copies, *count):
         built[copies] += 1
-        return real(sv, copies)
+        return real(sv, copies, *count)
 
     for module in (cli, conversion, tradeoff):
         monkeypatch.setattr(module, "power_spectrum", counting)

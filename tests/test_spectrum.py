@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from concrec import (
     SchmidtVector,
+    concentration_fidelity,
+    dilution_fidelity,
+    extend_spectrum,
     log2_int,
     log2_prefix_mass,
     log2_prefix_sqrt_mass,
@@ -364,6 +367,68 @@ def test_build_matches_per_level_reference(case):
 )
 def test_build_matches_per_level_reference_seeded(probs, n):
     _assert_same_build(make_schmidt(probs), n)
+
+
+@st.composite
+def partial_cases(draw):
+    """A qubit with p in [0.01, 1/2], p = 1/2 and p within 1e-13 of 1/2
+    included; a copy count n <= 400; a target count and a few extensions."""
+    p = draw(st.one_of(st.floats(0.01, 0.5), st.just(0.5), st.floats(0.5 - 1e-13, 0.5)))
+    n = draw(st.integers(0, 400))
+    targets = st.integers(0, n).flatmap(lambda bits: st.integers(1, 1 << bits))
+    return make_schmidt([p, 1.0 - p]), n, draw(targets), draw(st.lists(targets, max_size=3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(partial_cases())
+@example((make_schmidt([0.1, 0.9]), 400, 2**40, [2**60, 2**41, 2**200, 2**400]))
+@example((make_schmidt([0.25, 0.75]), 31, 2**15, [2**30, 2**31]))
+@example((make_schmidt([0.5 - 1e-14, 0.5 + 1e-14]), 400, 2**40, [2**100]))
+def test_partial_build_equals_the_full_builds_head(case):
+    sv, n, count, extensions = case
+    full = power_spectrum(sv, n)
+    ls = power_spectrum(sv, n, count)
+    if sv.probs[0] - sv.probs[1] > 1e-3 and 2 * count <= 1 << n:
+        assert not ls.complete
+    if not ls.complete:
+        assert ls.starts[-2] < count <= ls.starts[-1]  # built no further than needed
+    for target in [count, *extensions]:
+        ls = extend_spectrum(ls, target)
+        k = ls.num_levels
+        assert ls.total_count >= target
+        assert ls.starts == full.starts[: k + 1]
+        for column in ("log2_eigenvalues", "prefix_log2_mass"):
+            assert getattr(ls, column).tobytes() == getattr(full, column)[:k].tobytes(), column
+        if ls.complete:
+            continue
+        assert prefix_mass(ls, target) == prefix_mass(full, target)
+        past = ls.total_count + 1
+        for query in (
+            lambda: log2_prefix_mass(ls, past),
+            lambda: prefix_mass(ls, past),
+            lambda: dilution_fidelity(ls, past),
+            lambda: log2_tail_mass(ls, 0),
+            lambda: log2_prefix_sqrt_mass(ls, 1),
+            lambda: concentration_fidelity(ls, 2),
+        ):
+            with pytest.raises(CountExceedsTotal):
+                query()
+
+
+def test_partial_build_rejects_an_empty_count():
+    with pytest.raises(ValueError):
+        power_spectrum(make_schmidt([0.9, 0.1]), 3, 0)
+
+
+def test_seeded_accumulate_continues_one_accumulate():
+    # extend_spectrum continues a prefix column by seeding the running
+    # log-add with its last value; this pins numpy's accumulate to that.
+    pieces = np.random.default_rng(16).uniform(-60.0, 0.0, 10_000)
+    whole = np.logaddexp2.accumulate(pieces)
+    for cut in (1, 137, 5_000, 9_999):
+        head = np.logaddexp2.accumulate(pieces[:cut])
+        rest = np.logaddexp2.accumulate(np.concatenate((head[-1:], pieces[cut:])))
+        assert np.concatenate((head[:-1], rest)).tobytes() == whole.tobytes()
 
 
 class TestLevelBoundaries:

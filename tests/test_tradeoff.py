@@ -170,8 +170,8 @@ class TestRecoverablePoints:
         real = tradeoff.power_spectrum
         built = []
 
-        def recording(sv, copies):
-            spectrum = real(sv, copies)
+        def recording(sv, copies, *count):
+            spectrum = real(sv, copies, *count)
             built.append(weakref.ref(spectrum))
             return spectrum
 
@@ -184,6 +184,23 @@ class TestRecoverablePoints:
         gc.collect()
         assert built
         assert [ref for ref in built if ref() is not None] == []
+
+
+def test_recovery_spectra_are_built_partially(monkeypatch):
+    real = tradeoff.power_spectrum
+    built = []
+
+    def recording(sv, copies, *count):
+        spectrum = real(sv, copies, *count)
+        built.append(spectrum)
+        return spectrum
+
+    monkeypatch.setattr(tradeoff, "power_spectrum", recording)
+    recoverable_points(make_schmidt([0.1, 0.9]), 600, [0.1, 0.3])
+    below_n = [ls for ls in built if ls.copies < 600]
+    assert below_n
+    assert not any(ls.complete for ls in below_n)
+    assert all(ls.num_levels < ls.copies // 4 for ls in below_n)
 
 
 @st.composite
@@ -221,16 +238,16 @@ def test_grid_search_matches_pointwise_and_full_scan(case):
 
 
 @st.composite
-def tied_states(draw, max_distinct=3):
+def tied_states(draw, max_distinct=3, max_n=60):
     """A rank 1-4 state with at most ``max_distinct`` distinct entries, and a
-    copy count n <= 60.  With three, every rank-4 state has a tie."""
+    copy count n <= ``max_n``.  With three, every rank-4 state has a tie."""
     rank = draw(st.integers(1, 4))
     weights = draw(
         st.lists(st.integers(1, 4), min_size=rank, max_size=rank).filter(
             lambda w: len(set(w)) <= max_distinct
         )
     )
-    return make_schmidt([w / sum(weights) for w in weights]), draw(st.integers(1, 60))
+    return make_schmidt([w / sum(weights) for w in weights]), draw(st.integers(1, max_n))
 
 
 def _largest_drop(values):
@@ -328,9 +345,14 @@ def test_optimum_against_exact_oracle_at_large_n():
 
 
 class TestMonotonicityAndBounds:
-    @pytest.mark.parametrize("n", [16, 40, 64])
-    def test_delta_monotone_in_N(self, n):
-        sv = make_schmidt([0.9, 0.1])
+    # recoverable_points bisects over N on this property.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tied_states(max_n=40))
+    @example((make_schmidt([0.9, 0.1]), 16))
+    @example((make_schmidt([0.9, 0.1]), 40))
+    @example((make_schmidt([0.9, 0.1]), 64))
+    def test_delta_monotone_in_N(self, case):
+        sv, n = case
         deltas = [generalized_mcre(sv, n, N).delta for N in range(1, n + 1)]
         assert all(b >= a - 1e-12 for a, b in zip(deltas, deltas[1:]))
         assert all(0.0 <= d <= 1.0 for d in deltas)
