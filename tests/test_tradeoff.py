@@ -344,18 +344,22 @@ def test_optimum_against_exact_oracle_at_large_n():
     assert min(below, above) >= at - 1e-12
 
 
+def _assert_delta_monotone_in_N(sv, n):
+    deltas = [generalized_mcre(sv, n, N).delta for N in range(1, n + 1)]
+    assert all(b >= a - 1e-12 for a, b in zip(deltas, deltas[1:]))
+    assert all(0.0 <= d <= 1.0 for d in deltas)
+
+
 class TestMonotonicityAndBounds:
     # recoverable_points bisects over N on this property.
+    @pytest.mark.parametrize("n", [16, 40, 64])
+    def test_delta_monotone_in_N(self, n):
+        _assert_delta_monotone_in_N(make_schmidt([0.9, 0.1]), n)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(tied_states(max_n=40))
-    @example((make_schmidt([0.9, 0.1]), 16))
-    @example((make_schmidt([0.9, 0.1]), 40))
-    @example((make_schmidt([0.9, 0.1]), 64))
-    def test_delta_monotone_in_N(self, case):
-        sv, n = case
-        deltas = [generalized_mcre(sv, n, N).delta for N in range(1, n + 1)]
-        assert all(b >= a - 1e-12 for a, b in zip(deltas, deltas[1:]))
-        assert all(0.0 <= d <= 1.0 for d in deltas)
+    def test_delta_monotone_in_N_tied_states(self, case):
+        _assert_delta_monotone_in_N(*case)
 
     def test_convergence_direction(self):
         sv = make_schmidt([0.9, 0.1])
