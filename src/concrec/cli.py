@@ -90,26 +90,30 @@ def _load_config(path: Union[str, None]) -> dict[str, str]:
     return config
 
 
-def _resolve(cli_value, config: dict[str, str], key: str, cast):
-    """Flags beat the config file, which beats the built-in default."""
-    if cli_value is not None:
-        return cli_value
-    if key in config:
+def _param(args, config: dict[str, str], name: str, cast, default=None):
+    """A flag beats the config file, which beats ``default``; with no
+    default the parameter is required."""
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    if name in config:
         try:
-            return cast(config[key])
+            return cast(config[name])
         except ValueError as exc:
-            raise ParamError(f"config value {key}={config[key]!r} is not valid") from exc
-    return _DEFAULTS.get(key)
+            raise ParamError(f"config value {name}={config[name]!r} is not valid") from exc
+    if default is None:
+        raise ParamError(f"query kind {args.kind!r} requires --{name}")
+    return default
 
 
 def _resolve_state(args, config: dict[str, str]) -> SchmidtVector:
-    if getattr(args, "p", None) is not None and getattr(args, "schmidt", None) is not None:
+    if args.p is not None and args.schmidt is not None:
         raise ParamError("give either --p or --schmidt, not both")
-    if getattr(args, "schmidt", None) is not None:
+    if args.schmidt is not None:
         return make_schmidt(_parse_float_list(args.schmidt, "schmidt"))
-    if "schmidt" in config and getattr(args, "p", None) is None:
+    if "schmidt" in config and args.p is None:
         return make_schmidt(_parse_float_list(config["schmidt"], "schmidt"))
-    p = _resolve(getattr(args, "p", None), config, "p", float)
+    p = _param(args, config, "p", float, _DEFAULTS["p"])
     if not 0.0 < p < 1.0:
         raise ParamError(f"--p must be in (0, 1), got {p}")
     return make_schmidt([p, 1.0 - p])
@@ -209,12 +213,12 @@ def _cmd_fig(args) -> int:
     spec = FigureSpec(
         figure_id=figure_id,
         state=state,
-        n=_resolve(args.n, config, "n", int),
-        kmax=_resolve(args.kmax, config, "kmax", int),
+        n=_param(args, config, "n", int, _DEFAULTS["n"]),
+        kmax=_param(args, config, "kmax", int, _DEFAULTS["kmax"]),
         epsilon_grid=eps_grid,
         b_grid=b_grid,
         output_path=args.out,
-        format=_resolve(args.format, config, "format", str),
+        format=_param(args, config, "format", str, _DEFAULTS["format"]),
     )
     if spec.n < 1 or spec.kmax < 1:
         raise ParamError("--n and --kmax must be >= 1")
@@ -237,41 +241,21 @@ def _cmd_fig(args) -> int:
     return 0
 
 
-def _param(args, config: dict[str, str], name: str, cast):
-    """Query parameters come from flags or the config file, never defaults."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise ParamError(f"config value {name}={config[name]!r} is not valid") from exc
-    raise ParamError(f"query kind {args.kind!r} requires --{name}")
-
-
 def _cmd_query(args) -> int:
     config = _load_config(args.config)
     state = _resolve_state(args, config)
     record: dict[str, object] = {"kind": args.kind, "state": _state_text(state)}
     kind = args.kind
-    if kind == "mcre":
+    if kind in ("mcre", "gmcre"):
         n = _param(args, config, "n", int)
-        result = mcre(state, n)
+        record["n"] = n
+        if kind == "mcre":
+            result = mcre(state, n)
+        else:
+            N = _param(args, config, "N", int)
+            record["N"] = N
+            result = generalized_mcre(state, n, N)
         record.update(
-            n=n,
-            delta=result.delta,
-            optimal_m=result.optimal_m,
-            concentration_error=result.concentration_error,
-            recovery_error=result.recovery_error,
-        )
-    elif kind == "gmcre":
-        n = _param(args, config, "n", int)
-        N = _param(args, config, "N", int)
-        result = generalized_mcre(state, n, N)
-        record.update(
-            n=n,
-            N=N,
             delta=result.delta,
             optimal_m=result.optimal_m,
             concentration_error=result.concentration_error,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -115,6 +116,21 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(OutOfDomain):
                 normal_quantile(bad)
+
+    def test_within_four_ulps_of_the_exact_quantile(self):
+        # The reference is the quantile of the float u itself, to 50 digits,
+        # so the bound measures the function, not the rounding of u.
+        tails = [float(t) for t in np.logspace(-15, math.log10(0.5), 121)]
+        grid = (
+            [1.0 - (0.05 * i) / 2.0 for i in range(1, 20)]  # fig4's u
+            + [1.0 - (0.01 * i) / 2.0 for i in range(1, 100)]  # fig5's u
+            + tails
+            + [1.0 - t for t in tails]
+        )
+        with mpmath.workdps(50):
+            for u in grid:
+                exact = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1))
+                assert abs(normal_quantile(u) - exact) <= 4 * math.ulp(exact), u
 
 
 class TestK:
