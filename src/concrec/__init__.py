@@ -17,11 +17,8 @@ from .asymptotics import (
 from .conversion import (
     ConversionResult,
     brute_force_fidelity,
-    concentration_error,
     concentration_fidelity,
-    dilution_error,
     dilution_fidelity,
-    flatten_index,
 )
 from .spectrum import (
     LeveledSpectrum,
@@ -53,13 +50,10 @@ __all__ = [
     "TradeoffResult",
     "K",
     "brute_force_fidelity",
-    "concentration_error",
     "concentration_fidelity",
     "delta_curve",
-    "dilution_error",
     "dilution_fidelity",
     "extend_spectrum",
-    "flatten_index",
     "generalized_mcre",
     "log2_int",
     "log2_prefix_mass",

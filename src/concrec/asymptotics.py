@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Union
 
 from .errors import DegenerateVariance, InvalidEpsilon, OutOfDomain
 from .spectrum import SchmidtVector
@@ -117,15 +116,9 @@ def nmax_approx(sv: SchmidtVector, n: int, eps: float) -> float:
     return n - prof.loss_scale * normal_quantile(1.0 - eps / 2.0) * math.sqrt(n)
 
 
-def loss_coefficient(
-    sv: SchmidtVector, eps: float, *, loss_scale: Union[float, None] = None
-) -> float:
-    """Coefficient of sqrt(n) in the asymptotic copy loss after compression.
-
-    ``loss_scale`` overrides the state-derived 2*sqrt(V)/S; pass 1.0 for the
-    normalized curve.
-    """
+def loss_coefficient(sv: SchmidtVector, eps: float) -> float:
+    """Coefficient of sqrt(n) in the asymptotic copy loss after compression:
+    (2*sqrt(V)/S) * quantile(1 - eps/2)."""
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"need 0 < eps < 1, got {eps}")
-    scale = loss_scale if loss_scale is not None else profile(sv).loss_scale
-    return scale * normal_quantile(1.0 - eps / 2.0)
+    return profile(sv).loss_scale * normal_quantile(1.0 - eps / 2.0)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    loss_coefficient,
     nmax_approx,
     normal_cdf,
+    normal_quantile,
     profile,
     prop3_limits,
 )
@@ -92,10 +92,11 @@ def _load_config(path: Union[str, None]) -> dict[str, str]:
 
 def _param(args, config: dict[str, str], name: str, cast, default=None):
     """A flag beats the config file, which beats ``default``; with no
-    default the parameter is required."""
+    default the parameter is required.  ``cast`` reads config text, and
+    flag values too, which argparse leaves as text for the list flags."""
     value = getattr(args, name)
     if value is not None:
-        return value
+        return cast(value)
     if name in config:
         try:
             return cast(config[name])
@@ -107,7 +108,7 @@ def _param(args, config: dict[str, str], name: str, cast, default=None):
 
 
 def _resolve_state(args, config: dict[str, str]) -> SchmidtVector:
-    if args.p is not None and args.schmidt is not None:
+    if (args.p is not None and args.schmidt is not None) or ("p" in config and "schmidt" in config):
         raise ParamError("give either --p or --schmidt, not both")
     if args.schmidt is not None:
         return make_schmidt(_parse_float_list(args.schmidt, "schmidt"))
@@ -184,7 +185,7 @@ def run_figure(spec: FigureSpec) -> tuple[Sequence[str], list, list[tuple[str, s
         return ("epsilon", "N_exact", "N_approx"), rows, metadata
     if spec.figure_id == "fig5":
         metadata.append(("units", "epsilon:1,coefficient:copies_per_sqrt_copy"))
-        rows = [(eps, loss_coefficient(sv, eps, loss_scale=1.0)) for eps in spec.epsilon_grid]
+        rows = [(eps, normal_quantile(1.0 - eps / 2.0)) for eps in spec.epsilon_grid]
         return ("epsilon", "coefficient"), rows, metadata
     raise InvalidSpec(f"unknown figure id {spec.figure_id!r}")
 
@@ -197,19 +198,14 @@ def _cmd_fig(args) -> int:
         "fig4": tuple(0.05 * i for i in range(1, 20)),
         "fig5": tuple(0.01 * i for i in range(1, 100)),
     }.get(figure_id, ())
-    eps_grid = (
-        _parse_float_list(args.eps_grid, "epsilon")
-        if args.eps_grid is not None
-        else (_parse_float_list(config["eps_grid"], "epsilon") if "eps_grid" in config else eps_default)
+    eps_grid = _param(
+        args, config, "eps_grid", lambda text: _parse_float_list(text, "epsilon"), eps_default
     )
     for eps in eps_grid:
         if not 0.0 < eps < 1.0:
             raise ParamError(f"epsilon values must lie in (0, 1), got {eps}")
-    b_grid = (
-        _parse_float_list(args.b_grid, "b")
-        if args.b_grid is not None
-        else tuple(float(b) for b in np.linspace(-4.0, 4.0, 81))
-    )
+    b_default = tuple(float(b) for b in np.linspace(-4.0, 4.0, 81))
+    b_grid = _param(args, config, "b_grid", lambda text: _parse_float_list(text, "b"), b_default)
     spec = FigureSpec(
         figure_id=figure_id,
         state=state,
@@ -308,7 +304,12 @@ def _cmd_query(args) -> int:
         print(",".join(keys))
         print(",".join(_format_value(record[k]) for k in keys))
     else:
-        print(json.dumps(record, sort_keys=True))
+        # JSON has no NaN or infinity: write those as null.
+        finite = {
+            k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in record.items()
+        }
+        print(json.dumps(finite, sort_keys=True))
     return 0
 
 
@@ -392,11 +393,15 @@ def _suite_asymptotic(n: int) -> _Report:
     report = _Report()
     sv = make_schmidt([0.9, 0.1])
     prof = profile(sv)
+    if n < 0:
+        raise ParamError(f"--n must be >= 0, got {n}")
+    ms = {b: math.floor(prof.entropy_S * n + b * math.sqrt(n)) for b in (-1.0, 0.0, 1.0)}
+    if min(ms.values()) < 0:
+        raise ParamError(f"--n {n} is too small: m = floor(S*n - sqrt(n)) = {ms[-1.0]} < 0")
     ls = power_spectrum(sv, n)
     conc_dev = 0.0
     dil_dev = 0.0
-    for b in (-1.0, 0.0, 1.0):
-        m = int(math.floor(prof.entropy_S * n + b * math.sqrt(n)))
+    for b, m in ms.items():
         limit = normal_cdf(b / prof.sqrt_V)
         conc = concentration_fidelity(ls, 1 << m).error
         dil = dilution_fidelity(ls, 1 << m).error
@@ -441,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--b-grid", type=str, help="comma-separated second-order rates for fig3")
     fig.add_argument("--out", type=str, required=True)
     fig.add_argument("--format", choices=("csv", "json"))
-    fig.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     fig.add_argument("--config", type=str, help="key=value defaults file")
     fig.set_defaults(func=_cmd_fig)
 

@@ -26,13 +26,10 @@ from .spectrum import (
     _exp2,
     _require_complete,
     log2_int,
-    power_spectrum,
     prefix_mass,
 )
 
 _CLAMP_TOL = 1e-12
-
-Direction = str  # "concentration" | "dilution"
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,6 @@ class ConversionResult:
     fidelity: float
     error: float
     flatten_index_J: Union[int, None]
-    target_dimension_L: int
-    direction: Direction
 
 
 def _clamp_unit(x: float, what: str) -> float:
@@ -97,11 +92,6 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
     return lo, starts[lo]
 
 
-def flatten_index(ls: LeveledSpectrum, L: int) -> int:
-    """Length J of the kept prefix in the optimal keep-then-flatten vector."""
-    return _flatten_boundary(ls, L)[1]
-
-
 def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
     """Optimal fidelity for converting the spectrum's state into a
     maximally entangled state of dimension ``L``.
@@ -120,13 +110,7 @@ def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
         second = _exp2(0.5 * (log2_int(L - J) - log2_L + tail))
     fidelity = _clamp_unit(first + second, "concentration fidelity")
     error = _clamp_unit(1.0 - fidelity * fidelity, "concentration error")
-    return ConversionResult(
-        fidelity=fidelity,
-        error=error,
-        flatten_index_J=J,
-        target_dimension_L=L,
-        direction="concentration",
-    )
+    return ConversionResult(fidelity=fidelity, error=error, flatten_index_J=J)
 
 
 def dilution_fidelity(ls_target: LeveledSpectrum, L: int) -> ConversionResult:
@@ -139,23 +123,7 @@ def dilution_fidelity(ls_target: LeveledSpectrum, L: int) -> ConversionResult:
         fidelity=math.sqrt(mass),
         error=_clamp_unit(1.0 - mass, "dilution error"),
         flatten_index_J=None,
-        target_dimension_L=L,
-        direction="dilution",
     )
-
-
-def concentration_error(sv: SchmidtVector, n: int, m: int) -> float:
-    """Optimal error for concentrating n copies into m EPR pairs."""
-    if m < 1:
-        raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
-    return concentration_fidelity(power_spectrum(sv, n), 1 << m).error
-
-
-def dilution_error(sv: SchmidtVector, N: int, m: int) -> float:
-    """Optimal error for diluting m EPR pairs into N copies."""
-    if m < 1:
-        raise InvalidDimension(f"EPR count m must be >= 1, got {m}")
-    return dilution_fidelity(power_spectrum(sv, N), 1 << m).error
 
 
 def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:
@@ -174,7 +142,7 @@ def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:
 def dense_flatten_index(probs: np.ndarray, L: int) -> int:
     """Flatten index J of a dense sorted spectrum, by a per-index scan.
 
-    The reference for :func:`flatten_index`: the smallest j whose tail
+    The reference for the flatten cut of :func:`_flatten_boundary`: the smallest j whose tail
     average covers the entry at j.  A relative slack of 1e-12 keeps exact
     mathematical ties from flipping on the float rounding of the tail
     subtraction; the last candidate is forced because the condition holds

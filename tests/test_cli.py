@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from concrec import cli, conversion, make_schmidt, spectrum, tradeoff
+import concrec
+from concrec import cli, make_schmidt, spectrum, tradeoff
 from concrec.cli import FigureSpec, main
 
 
@@ -86,14 +87,14 @@ class TestFig:
 
     def test_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["fig", "--id", "2", "--kmax", "6", "--jobs", "8"]
+        args = ["fig", "--id", "2", "--kmax", "6"]
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_fresh_process_matches_in_process(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["fig", "--id", "2", "--kmax", "5", "--jobs", "4"]
+        args = ["fig", "--id", "2", "--kmax", "5"]
         assert run(args + ["--out", str(a)]) == 0
         # The fresh process imports the same sources as this one.
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -107,24 +108,16 @@ class TestFig:
         assert proc.returncode == 0, proc.stderr
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        serial, threaded = tmp_path / "s.csv", tmp_path / "t.csv"
-        base = ["fig", "--id", "4", "--n", "60", "--eps-grid", "0.1,0.2,0.5,0.9"]
-        assert run(base + ["--jobs", "1", "--out", str(serial)]) == 0
-        assert run(base + ["--jobs", "8", "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_csv_floats_round_trip(self, tmp_path):
         out = tmp_path / "fig5.csv"
         assert run(["fig", "--id", "5", "--out", str(out)]) == 0
-        from concrec import loss_coefficient, make_schmidt
+        from concrec import normal_quantile
 
-        sv = make_schmidt([0.9, 0.1])
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
         for i, row in enumerate(rows, start=1):
             eps_text, coeff_text = row.split(",")
             assert float(eps_text) == 0.01 * i
-            assert float(coeff_text) == loss_coefficient(sv, 0.01 * i, loss_scale=1.0)
+            assert float(coeff_text) == normal_quantile(1 - 0.01 * i / 2)
 
     def test_unwritable_output(self, tmp_path):
         out = tmp_path / "missing-dir" / "fig5.csv"
@@ -180,6 +173,17 @@ class TestQuery:
         assert 0 <= record["N_max"] <= 40
         assert record["loss"] == 40 - record["N_max"]
 
+    def test_rank_one_json_record_writes_null(self, capsys):
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        assert run(["query", "--kind", "profile", "--schmidt", "1.0"]) == 0
+        record = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert record["loss_scale"] is None
+        assert run(["query", "--kind", "profile", "--schmidt", "1.0", "--format", "csv"]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["loss_scale"] == "nan"
+
     def test_csv_format(self, capsys):
         assert run(["query", "--kind", "mcre", "--p", "0.1", "--n", "1", "--format", "csv"]) == 0
         header, row = capsys.readouterr().out.strip().splitlines()
@@ -220,6 +224,12 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
+    @pytest.mark.parametrize("n", ["2", "-3"])
+    def test_asymptotic_refuses_too_small_n(self, n, capsys):
+        # At n = 2, m = floor(S*n - sqrt(n)) < 0 for b = -1.
+        assert run(["validate", "--suite", "asymptotic", "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -254,6 +264,30 @@ class TestConfig:
         cfg.write_text("n = not-a-number\n")
         assert run(["query", "--kind", "mcre", "--p", "0.1", "--config", str(cfg)]) == 2
 
+    def test_config_supplies_b_grid(self, tmp_path):
+        cfg = tmp_path / "concrec.cfg"
+        cfg.write_text("b_grid = 0.5\n")
+        out = tmp_path / "fig3.csv"
+        assert run(["fig", "--id", "3", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.5]
+
+    def test_config_refuses_p_with_schmidt(self, tmp_path, capsys):
+        cfg = tmp_path / "concrec.cfg"
+        cfg.write_text("p = 0.1\nschmidt = 0.5,0.5\n")
+        out = tmp_path / "fig5.csv"
+        assert run(["fig", "--id", "5", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_public_names_resolve():
+    for name in concrec.__all__:
+        assert hasattr(concrec, name), name
+    namespace = {}
+    exec("from concrec import *", namespace)
+    assert set(concrec.__all__) <= set(namespace)
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -270,7 +304,7 @@ def _count_builds(monkeypatch):
         built[copies] += 1
         return real(sv, copies, *count)
 
-    for module in (cli, conversion, tradeoff):
+    for module in (cli, tradeoff):
         monkeypatch.setattr(module, "power_spectrum", counting)
     return built
 

@@ -5,14 +5,12 @@ import pytest
 
 from concrec import (
     brute_force_fidelity,
-    concentration_error,
     concentration_fidelity,
-    dilution_error,
     dilution_fidelity,
-    flatten_index,
     make_schmidt,
     power_spectrum,
 )
+from concrec.conversion import _flatten_boundary
 from concrec.errors import DimensionTooLargeForOracle, InvalidDimension
 
 from _oracles import (
@@ -26,14 +24,14 @@ from _oracles import (
 
 class TestFlattenIndex:
     def test_single_copy_examples(self):
-        assert flatten_index(power_spectrum(make_schmidt([0.9, 0.1]), 1), 2) == 1
-        assert flatten_index(power_spectrum(make_schmidt([0.5, 0.5]), 1), 2) == 0
-        assert flatten_index(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2) == 0
+        assert _flatten_boundary(power_spectrum(make_schmidt([0.9, 0.1]), 1), 2)[1] == 1
+        assert _flatten_boundary(power_spectrum(make_schmidt([0.5, 0.5]), 1), 2)[1] == 0
+        assert _flatten_boundary(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2)[1] == 0
 
     def test_invalid_dimension(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 1)
         with pytest.raises(InvalidDimension):
-            flatten_index(ls, 0)
+            _flatten_boundary(ls, 0)
 
     @pytest.mark.parametrize("probs", [[0.9, 0.1], [0.75, 0.25]])
     def test_matches_dense_scan_qubit(self, probs):
@@ -42,7 +40,7 @@ class TestFlattenIndex:
             ls = power_spectrum(sv, n)
             dense = dense_power_spectrum(sv.probs, n)
             for L in [1, 2, 3, 5, 8, 64, 1 << n, (1 << n) + 1, 1 << (n + 1)]:
-                assert flatten_index(ls, L) == dense_flatten_index(dense, L), (n, L)
+                assert _flatten_boundary(ls, L)[1] == dense_flatten_index(dense, L), (n, L)
 
     def test_matches_dense_scan_qutrit(self):
         for probs in ([0.5, 0.3, 0.2], [0.5, 0.25, 0.25]):
@@ -51,11 +49,11 @@ class TestFlattenIndex:
                 ls = power_spectrum(sv, n)
                 dense = dense_power_spectrum(sv.probs, n)
                 for L in [1, 2, 4, 7, 16, 81, 3**n, 3**n + 5]:
-                    assert flatten_index(ls, L) == dense_flatten_index(dense, L), (n, L)
+                    assert _flatten_boundary(ls, L)[1] == dense_flatten_index(dense, L), (n, L)
 
     def test_huge_dimension(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 40)
-        J = flatten_index(ls, 1 << 200)
+        J = _flatten_boundary(ls, 1 << 200)[1]
         assert J == ls.total_count  # everything kept, flat part beyond spectrum
 
     def test_binary_search_matches_linear_boundary_scan_at_scale(self):
@@ -82,7 +80,7 @@ class TestFlattenIndex:
                     expected = cut
                     break
             assert expected is not None
-            assert flatten_index(ls, L) == expected, m
+            assert _flatten_boundary(ls, L)[1] == expected, m
 
     def test_tie_insensitivity(self):
         # When the flattened tail average exactly equals the next weight,
@@ -91,7 +89,7 @@ class TestFlattenIndex:
         for probs, L in ([0.4, 0.3, 0.3], 3), ([0.4, 0.2, 0.2, 0.2], 4), ([0.5, 0.25, 0.25], 3):
             sv = make_schmidt(probs)
             ls = power_spectrum(sv, 1)
-            J = flatten_index(ls, L)
+            J = _flatten_boundary(ls, L)[1]
             dense = np.asarray(sv.probs)
 
             def eta_value(cut: int) -> float:
@@ -112,7 +110,6 @@ class TestConcentration:
         assert result.fidelity == pytest.approx(math.sqrt(0.45) + math.sqrt(0.05), abs=1e-12)
         assert result.error == pytest.approx(0.2, abs=1e-12)
         assert result.flatten_index_J == 1
-        assert result.direction == "concentration"
 
     def test_exact_conversion_to_smaller_uniform(self):
         result = concentration_fidelity(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2)
@@ -147,7 +144,6 @@ class TestDilution:
         assert result.fidelity == pytest.approx(math.sqrt(0.9), abs=1e-12)
         assert result.error == pytest.approx(0.10, abs=1e-12)
         assert result.flatten_index_J is None
-        assert result.direction == "dilution"
 
     def test_full_prefix_is_exact(self):
         ls = power_spectrum(make_schmidt([0.6, 0.3, 0.1]), 3)
@@ -162,34 +158,33 @@ class TestDilution:
 
 
 class TestCopyLevelWrappers:
+    """Errors between n copies and m EPR pairs: a conversion at L = 2^m."""
+
     def test_concentration_error_examples(self):
         sv = make_schmidt([0.9, 0.1])
-        assert concentration_error(sv, 1, 1) == pytest.approx(0.2, abs=1e-12)
-        assert concentration_error(sv, 1, 2) == pytest.approx(0.6, abs=1e-12)
+        ls = power_spectrum(sv, 1)
+        assert concentration_fidelity(ls, 2).error == pytest.approx(0.2, abs=1e-12)
+        assert concentration_fidelity(ls, 4).error == pytest.approx(0.6, abs=1e-12)
         uniform = make_schmidt([0.5, 0.5])
         for k in (1, 2, 5):
-            assert concentration_error(uniform, k, k) == pytest.approx(0.0, abs=1e-12)
+            error = concentration_fidelity(power_spectrum(uniform, k), 1 << k).error
+            assert error == pytest.approx(0.0, abs=1e-12)
 
     def test_dilution_error_examples(self):
         sv = make_schmidt([0.9, 0.1])
-        assert dilution_error(sv, 2, 1) == pytest.approx(0.10, abs=1e-12)
-        assert dilution_error(sv, 1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert dilution_fidelity(power_spectrum(sv, 2), 2).error == pytest.approx(0.10, abs=1e-12)
+        assert dilution_fidelity(power_spectrum(sv, 1), 2).error == pytest.approx(0.0, abs=1e-12)
         qutrit = make_schmidt([0.6, 0.3, 0.1])
         for N in (1, 2, 3):
             m = N * 2  # 2^m covers rank^N
-            assert dilution_error(qutrit, N, m) == pytest.approx(0.0, abs=1e-10)
-
-    def test_requires_positive_m(self):
-        sv = make_schmidt([0.9, 0.1])
-        with pytest.raises(InvalidDimension):
-            concentration_error(sv, 2, 0)
-        with pytest.raises(InvalidDimension):
-            dilution_error(sv, 2, 0)
+            error = dilution_fidelity(power_spectrum(qutrit, N), 1 << m).error
+            assert error == pytest.approx(0.0, abs=1e-10)
 
     def test_monotonicity_in_m(self):
         sv = make_schmidt([0.9, 0.1])
-        conc = [concentration_error(sv, 6, m) for m in range(1, 13)]
-        dil = [dilution_error(sv, 6, m) for m in range(1, 13)]
+        ls = power_spectrum(sv, 6)
+        conc = [concentration_fidelity(ls, 1 << m).error for m in range(1, 13)]
+        dil = [dilution_fidelity(ls, 1 << m).error for m in range(1, 13)]
         assert all(b >= a - 1e-12 for a, b in zip(conc, conc[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(dil, dil[1:]))
 
@@ -199,16 +194,17 @@ class TestCopyLevelWrappers:
             rank = int(rng.integers(2, 5))
             sv = make_schmidt(rng.dirichlet(np.ones(rank)).tolist())
             n = int(rng.integers(1, 5))
+            ls = power_spectrum(sv, n)
             dense = dense_power_spectrum(sv.probs, n)
             for m in range(1, 2 * n + 1):
                 L = 1 << m
-                error = concentration_error(sv, n, m)
+                error = concentration_fidelity(ls, L).error
                 k = np.arange(1, min(L, dense.size) + 1)
                 uniform_majorizes = bool(np.all(k / L >= np.cumsum(dense)[: k.size] - 1e-12))
                 if L < dense.size:
                     uniform_majorizes = uniform_majorizes and L / L >= float(dense.sum()) - 1e-12
                 assert (error <= 1e-9) == uniform_majorizes, (sv.probs, n, m)
-                dil = dilution_error(sv, n, m)
+                dil = dilution_fidelity(ls, L).error
                 assert (dil <= 1e-9) == (L >= dense.size)
 
     def test_errors_within_unit_range(self):
@@ -218,8 +214,9 @@ class TestCopyLevelWrappers:
             sv = make_schmidt(rng.dirichlet(np.ones(rank) * 2).tolist())
             n = int(rng.integers(0, 7))
             m = int(rng.integers(1, 12))
-            for value in (concentration_error(sv, n, m), dilution_error(sv, n, m)):
-                assert 0.0 <= value <= 1.0
+            ls = power_spectrum(sv, n)
+            for result in (concentration_fidelity(ls, 1 << m), dilution_fidelity(ls, 1 << m)):
+                assert 0.0 <= result.error <= 1.0
 
 
 class TestBruteForceOracle:

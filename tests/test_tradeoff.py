@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concrec import (
-    concentration_error,
+    concentration_fidelity,
     delta_curve,
-    dilution_error,
+    dilution_fidelity,
     generalized_mcre,
     make_schmidt,
     max_recoverable,
@@ -69,8 +69,9 @@ class TestGeneralizedMcre:
             sv = make_schmidt(probs)
             result = generalized_mcre(sv, n, N)
             cap = max(1, N * (sv.rank - 1).bit_length())
+            ls_n, ls_N = power_spectrum(sv, n), power_spectrum(sv, N)
             deltas = [
-                concentration_error(sv, n, m) + dilution_error(sv, N, m)
+                concentration_fidelity(ls_n, 1 << m).error + dilution_fidelity(ls_N, 1 << m).error
                 for m in range(1, cap + 1)
             ]
             best = min(deltas)
