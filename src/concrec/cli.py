@@ -107,6 +107,13 @@ def _param(args, config: dict[str, str], name: str, cast, default=None):
     return default
 
 
+def _output_format(args, config: dict[str, str], default: str) -> str:
+    fmt = _param(args, config, "format", str, default)
+    if fmt not in ("csv", "json"):
+        raise ParamError(f"unknown format {fmt!r}")
+    return fmt
+
+
 def _resolve_state(args, config: dict[str, str]) -> SchmidtVector:
     if (args.p is not None and args.schmidt is not None) or ("p" in config and "schmidt" in config):
         raise ParamError("give either --p or --schmidt, not both")
@@ -214,12 +221,10 @@ def _cmd_fig(args) -> int:
         epsilon_grid=eps_grid,
         b_grid=b_grid,
         output_path=args.out,
-        format=_param(args, config, "format", str, _DEFAULTS["format"]),
+        format=_output_format(args, config, _DEFAULTS["format"]),
     )
     if spec.n < 1 or spec.kmax < 1:
         raise ParamError("--n and --kmax must be >= 1")
-    if spec.format not in ("csv", "json"):
-        raise ParamError(f"unknown format {spec.format!r}")
 
     start = time.perf_counter()
     columns, rows, metadata = run_figure(spec)
@@ -240,6 +245,7 @@ def _cmd_fig(args) -> int:
 def _cmd_query(args) -> int:
     config = _load_config(args.config)
     state = _resolve_state(args, config)
+    fmt = _output_format(args, config, "json")
     record: dict[str, object] = {"kind": args.kind, "state": _state_text(state)}
     kind = args.kind
     if kind in ("mcre", "gmcre"):
@@ -299,18 +305,28 @@ def _cmd_query(args) -> int:
     else:
         raise ParamError(f"unknown query kind {kind!r}")
 
-    if args.format == "csv":
-        keys = list(record)
-        print(",".join(keys))
-        print(",".join(_format_value(record[k]) for k in keys))
-    else:
+    print(_render_record(record, fmt))
+    return 0
+
+
+def _render_record(record: dict[str, object], fmt: str) -> str:
+    """The record as text, with the interpreter's cap on int-to-decimal digits
+    (Python 3.10.7 and later) lifted: an exact flatten index can pass it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "csv":
+            return ",".join(record) + "\n" + ",".join(map(_format_value, record.values()))
         # JSON has no NaN or infinity: write those as null.
         finite = {
             k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in record.items()
         }
-        print(json.dumps(finite, sort_keys=True))
-    return 0
+        return json.dumps(finite, sort_keys=True)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 class _Report:
@@ -457,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--N", type=int)
     query.add_argument("--m", type=int)
     query.add_argument("--eps", type=float)
-    query.add_argument("--format", choices=("csv", "json"), default="json")
+    query.add_argument("--format", choices=("csv", "json"))
     query.add_argument("--config", type=str)
     query.set_defaults(func=_cmd_query)
 

@@ -12,7 +12,7 @@ so dimensions like 2^3000 are exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -69,27 +69,20 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
     n_levels = ls.num_levels
 
     def condition(i: int) -> bool:
-        tail = suffix[i]
-        threshold = eigs[i] if i < n_levels else NEG_INF
+        # Python floats: bisect compares the result with True, slowly for numpy.bool_.
+        tail = float(suffix[i])
+        threshold = float(eigs[i]) if i < n_levels else NEG_INF
         if tail == NEG_INF:
             return threshold == NEG_INF
         return tail - log2_int(L - starts[i]) >= threshold
 
     # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
+    # The last boundary below L, i_max, is never tested: exact arithmetic
+    # guarantees the condition there, and float rounding can only miss it
+    # at an exact tie, where either cut choice yields the same fidelity.
     i_max = bisect_right(starts, L - 1) - 1
-    lo, hi = 0, i_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if condition(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if not condition(lo):
-        # Exact arithmetic guarantees the condition at the last boundary
-        # below L; float rounding can only miss it at an exact tie, where
-        # either cut choice yields the same fidelity.
-        lo = i_max
-    return lo, starts[lo]
+    i = bisect_left(range(i_max), True, key=condition)
+    return i, starts[i]
 
 
 def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:

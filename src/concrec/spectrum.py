@@ -489,7 +489,7 @@ def log2_prefix_mass(ls: LeveledSpectrum, count: int) -> float:
     if count <= 0:
         return NEG_INF
     if count > ls.total_count:
-        _require_complete(ls, f"a prefix of {count} entries")
+        _require_complete(ls, "a prefix beyond the built entries")
         count = ls.total_count
     return _log2_split(ls, count, ls.prefix_log2_mass, 1.0, False)
 
@@ -500,7 +500,9 @@ def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
         raise ValueError("count must be non-negative")
     _require_complete(ls, "the square-root mass")
     if count > ls.total_count:
-        raise CountExceedsTotal(f"count {count} exceeds total {ls.total_count}")
+        raise CountExceedsTotal(
+            f"count exceeds the total count, of {ls.total_count.bit_length()} bits"
+        )
     if count == 0:
         return NEG_INF
     return _log2_split(ls, count, ls.prefix_log2_sqrt_mass, 0.5, False)

@@ -8,24 +8,28 @@ is capped at N * ceil(log2 rank) pairs.  Within the cap, the concentration
 term never decreases in m and the dilution term never increases, so the
 search evaluates the anchor m0 = round(S * N) (S the entropy in bits),
 bisects for the window of m whose terms stay within delta(m0) plus a
-1e-12 slack, and scans only that window, smallest m first.
+1e-12 slack, and takes the first minimum over that window.  Each search
+is ``bisect.bisect_left`` over a ``range``; one for the last m (or N) that
+passes runs over the descending range, so it probes upper midpoints.
 
 The concentration term depends only on the n-copy spectrum and 2^m, not on
 N, so a search over an error grid shares its concentration errors across
-its points, as it shares the points across its budgets, and drops both on
-return.
+its points, as it shares the points across its budgets.  Both are
+``functools.cache`` closures over the search, dropped on return.
 
 Below N = n the N-copy spectrum is read only by the dilution term, which
 reads its top 2^m entries.  So it is built as a partial spectrum (see
 ``concrec.spectrum``) down to 2^m0, the window's upper end is bisected on
 concentration errors alone, and the spectrum is extended once, down to 2^m
-for that end, before the dilution bisection and the scan.
+for that end, before the dilution bisection and the minimum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from functools import cache
+from typing import Callable, Iterable, Sequence, Union
 
 from .asymptotics import profile
 from .conversion import concentration_fidelity, dilution_fidelity
@@ -49,34 +53,25 @@ class TradeoffResult:
 _WINDOW_SLACK = 1e-12
 
 
-def _ceil_log2(r: int) -> int:
-    return (r - 1).bit_length()
+def _conc_errors(spec_n: LeveledSpectrum) -> Callable[[int], float]:
+    """The concentration error of ``spec_n`` into 2^m, as a cached function of m."""
+    return cache(lambda m: concentration_fidelity(spec_n, 1 << m).error)
 
 
 def _gmcre(
-    spec_n: LeveledSpectrum, N: int, entropy: float, conc_errors: dict[int, float]
+    spec_n: LeveledSpectrum, N: int, entropy: float, conc: Callable[[int], float]
 ) -> TradeoffResult:
-    """Trade-off point at N.  ``conc_errors`` maps m to the concentration
-    error of ``spec_n`` into 2^m; it is read and filled here."""
+    """Trade-off point at N; ``conc`` is ``_conc_errors(spec_n)``."""
     sv, n = spec_n.base, spec_n.copies
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
-    m_cap = max(1, N * _ceil_log2(sv.rank))
+    m_cap = max(1, N * (sv.rank - 1).bit_length())
     m0 = min(max(round(entropy * N), 1), m_cap)
     # Dilution reads only the top 2^m entries, so below N = n the N-copy
     # spectrum is built only down to 2^m0, and extended once the window's
-    # largest m is known.
+    # largest m is known.  dil reads spec_N when called, so it sees the
+    # extension, which leaves the errors cached before it bit for bit equal.
     spec_N = spec_n if N == n else power_spectrum(sv, N, 1 << m0)
-    dil_errors: dict[int, float] = {}
-
-    def conc(m: int) -> float:
-        if m not in conc_errors:
-            conc_errors[m] = concentration_fidelity(spec_n, 1 << m).error
-        return conc_errors[m]
-
-    def dil(m: int) -> float:
-        if m not in dil_errors:
-            dil_errors[m] = dilution_fidelity(spec_N, 1 << m).error
-        return dil_errors[m]
+    dil = cache(lambda m: dilution_fidelity(spec_N, 1 << m).error)
 
     # conc never decreases in m and dil never increases, and both are >= 0,
     # so every m with delta(m) <= delta(m0) lies between the first m with
@@ -85,32 +80,16 @@ def _gmcre(
     # between any two m.  Measured for qubits up to n = 3e4: the largest
     # such move is 9.6e-13 (conc, p = 0.25), and dil never rises.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
-    lo, last = m0, m_cap  # last m with conc <= bound
-    while lo < last:
-        mid = (lo + last + 1) // 2
-        if conc(mid) <= bound:
-            lo = mid
-        else:
-            last = mid - 1
+    last = m_cap - bisect_left(range(m_cap, m0, -1), True, key=lambda m: conc(m) <= bound)
     spec_N = extend_spectrum(spec_N, 1 << last)
-    first, hi = 1, m0  # first m with dil <= bound
-    while first < hi:
-        mid = (first + hi) // 2
-        if dil(mid) <= bound:
-            hi = mid
-        else:
-            first = mid + 1
-    best: Union[tuple[float, int, float, float], None] = None
-    for m in range(first, last + 1):
-        c, d = conc(m), dil(m)
-        if best is None or c + d < best[0]:
-            best = (c + d, m, c, d)
-    assert best is not None
+    first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
+    # min keeps the first of equal keys, so ties go to the smallest m.
+    m = min(range(first, last + 1), key=lambda m: conc(m) + dil(m))
     return TradeoffResult(
-        delta=best[0],
-        optimal_m=best[1],
-        concentration_error=best[2],
-        recovery_error=best[3],
+        delta=conc(m) + dil(m),
+        optimal_m=m,
+        concentration_error=conc(m),
+        recovery_error=dil(m),
         n=n,
         N=N,
     )
@@ -122,20 +101,22 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     Minimizes over the EPR count m in [1, N * ceil(log2 rank)] without
     evaluating every m: from the anchor m0 = round(S * N) it bisects for the
     window of m whose dilution and concentration errors each stay within
-    delta(m0) + 1e-12, and scans that window.  Every m that could attain the
-    minimum lies inside it, so the result equals a scan of the full range.
-    Ties go to the smallest m, so results are independent of evaluation order.
+    delta(m0) + 1e-12, and minimizes over that window.  Every m that could
+    attain the minimum lies inside it, so the result equals a scan of the
+    full range.  Ties go to the smallest m, so results are independent of
+    evaluation order.
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
-    return _gmcre(power_spectrum(sv, n), N, profile(sv).entropy_S, {})
+    spec_n = power_spectrum(sv, n)
+    return _gmcre(spec_n, N, profile(sv).entropy_S, _conc_errors(spec_n))
 
 
 def mcre(sv: SchmidtVector, n: int) -> TradeoffResult:
     """Minimal concentration-recovery error with full recovery (N = n)."""
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
-    return _gmcre(power_spectrum(sv, n), n, profile(sv).entropy_S, {})
+    return generalized_mcre(sv, n, n)
 
 
 def recoverable_points(
@@ -161,20 +142,12 @@ def recoverable_points(
             raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
     spec_n = power_spectrum(sv, n)
     entropy = profile(sv).entropy_S
-    points: dict[int, TradeoffResult] = {}
-    conc_errors: dict[int, float] = {}
+    conc = _conc_errors(spec_n)
+    point = cache(lambda N: _gmcre(spec_n, N, entropy, conc))
     found: list[Union[TradeoffResult, None]] = []
     for eps in eps_grid:
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid not in points:
-                points[mid] = _gmcre(spec_n, mid, entropy, conc_errors)
-            if points[mid].delta <= eps:
-                lo = mid
-            else:
-                hi = mid - 1
-        found.append(points[lo] if lo else None)
+        N = n - bisect_left(range(n, 0, -1), True, key=lambda N: point(N).delta <= eps)
+        found.append(point(N) if N else None)
     return found
 
 

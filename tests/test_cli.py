@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import concrec
-from concrec import cli, make_schmidt, spectrum, tradeoff
+from concrec import cli, concentration_fidelity, make_schmidt, spectrum, tradeoff
 from concrec.cli import FigureSpec, main
 
 
@@ -190,6 +191,29 @@ class TestQuery:
         assert header.split(",")[0] == "kind"
         assert row.split(",")[0] == "mcre"
 
+    def test_error_dil_past_the_decimal_digit_limit(self, capsys):
+        # 2^20000 has more decimal digits than Python 3.11 converts by default.
+        assert run(["query", "--kind", "error-dil", "--p", "0.1", "--N", "5", "--m", "20000"]) == 0
+        assert json.loads(capsys.readouterr().out)["error"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flatten_index_past_the_decimal_digit_limit(self, fmt, capsys):
+        # J has 4,363 decimal digits.  Decimal parses and prints them
+        # without the int-to-decimal digit limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        args = ["query", "--kind", "error-conc", "--p", "0.4", "--n", "15000", "--m", "14500"]
+        assert run([*args, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            header, row = out.splitlines()
+            assert header.endswith(",flatten_index_J")
+            J = Decimal(row.rsplit(",", 1)[1])
+        else:
+            J = json.loads(out, parse_int=Decimal)["flatten_index_J"]
+        ls = spectrum.power_spectrum(make_schmidt([0.4, 0.6]), 15000)
+        assert J == Decimal(concentration_fidelity(ls, 1 << 14500).flatten_index_J)
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
     def test_oversized_spectrum_exits_2(self, capsys):
         # 4.5M levels, estimated at 3.5 GB to build: refused before enumerating.
         args = ["query", "--kind", "mcre", "--schmidt", "0.5,0.3,0.2", "--n", "3000"]
@@ -253,6 +277,19 @@ class TestConfig:
         assert run(["query", "--kind", "error-dil", "--p", "0.1", "--config", str(cfg)]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["error"] == pytest.approx(0.10, abs=1e-12)
+
+    def test_config_supplies_query_format(self, tmp_path, capsys):
+        cfg = tmp_path / "concrec.cfg"
+        cfg.write_text("format = csv\n")
+        assert run(["query", "--kind", "profile", "--p", "0.1", "--config", str(cfg)]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        assert header.split(",")[0] == "kind"
+        args = ["query", "--kind", "profile", "--p", "0.1", "--format", "json"]
+        assert run([*args, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "profile"
+        cfg.write_text("format = xml\n")
+        assert run(["query", "--kind", "profile", "--p", "0.1", "--config", str(cfg)]) == 2
+        assert "unknown format" in capsys.readouterr().err
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

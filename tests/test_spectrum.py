@@ -415,6 +415,34 @@ def test_partial_build_equals_the_full_builds_head(case):
                 query()
 
 
+@pytest.fixture(scope="module")
+def qubit_15000():
+    """A complete spectrum whose 2^15000 entries take 4,516 decimal digits,
+    past the 4,300 that Python 3.11 converts by default."""
+    return power_spectrum(make_schmidt([0.9, 0.1]), 15000)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        (lambda ls: prefix_mass(ls, ls.total_count + 1), 1.0),
+        (lambda ls: dilution_fidelity(power_spectrum(ls.base, 5), 1 << 20000).error, 0.0),
+        (lambda ls: log2_prefix_sqrt_mass(ls, ls.total_count + 1), CountExceedsTotal),
+        (
+            lambda ls: prefix_mass(power_spectrum(ls.base, 15000, 1 << 100), 1 << 20000),
+            CountExceedsTotal,
+        ),
+    ],
+    ids=["clamp", "dilution", "sqrt-mass-refused", "partial-refused"],
+)
+def test_counts_past_the_decimal_digit_limit(qubit_15000, query, expected):
+    if expected is CountExceedsTotal:
+        with pytest.raises(CountExceedsTotal):
+            query(qubit_15000)
+    else:
+        assert query(qubit_15000) == expected
+
+
 def test_partial_build_rejects_an_empty_count():
     with pytest.raises(ValueError):
         power_spectrum(make_schmidt([0.9, 0.1]), 3, 0)

@@ -167,6 +167,19 @@ class TestRecoverablePoints:
         with pytest.raises(InvalidEpsilon):
             recoverable_points(sv, 4, [0.5, 0.0])
 
+    def test_noise_level_budget_gives_the_bisection_result(self):
+        # README: below about 1e-12 the result is the bisection's.  Here
+        # every delta below N = 6 is rounding noise, and the bisection probes
+        # N = 3 and then N = 1, both above the budget, so it never reaches the
+        # N = 5 that a full scan finds.
+        sv = make_schmidt([1 / 3, 1 / 3, 1 / 3])
+        eps = generalized_mcre(sv, 6, 5).delta
+        assert 0.0 < eps < 1e-14
+        scan = [N for N in range(1, 7) if generalized_mcre(sv, 6, N).delta <= eps]
+        assert scan == [5]
+        assert max_recoverable(sv, 6, eps) == 0
+        assert recoverable_points(sv, 6, [eps]) == [None]
+
     def test_no_spectrum_outlives_a_call(self, monkeypatch):
         real = tradeoff.power_spectrum
         built = []
