@@ -490,7 +490,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IoFailure as exc:
+    except (IoFailure, ArithmeticError) as exc:  # output failure or broken check
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # includes every errors.Error subclass

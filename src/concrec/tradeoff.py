@@ -5,12 +5,22 @@ recovered copies is the minimum over the intermediate EPR count m of the
 concentration error into m pairs plus the dilution error back out of them.
 The dilution term vanishes once 2^m covers the full target spectrum, so m
 is capped at N * ceil(log2 rank) pairs.  Within the cap, the concentration
-term never decreases in m and the dilution term never increases, so the
+term never decreases in m and the dilution term never increases.  So the
 search evaluates the anchor m0 = round(S * N) (S the entropy in bits),
-bisects for the window of m whose terms stay within delta(m0) plus a
-1e-12 slack, and takes the first minimum over that window.  Each search
-is ``bisect.bisect_left`` over a ``range``; one for the last m (or N) that
-passes runs over the descending range, so it probes upper midpoints.
+bisects for the last m whose concentration error stays within delta(m0)
+plus a 1e-12 slack, and finds the first minimum over [1, that m] by branch
+and bound: on [a, b] no delta is below conc(a) + dil(b), up to the slack,
+so an interval whose bound exceeds the best delta so far is dropped unseen.
+
+The largest recoverable N for each budget of a grid is searched in
+ascending budget order.  The previous budget's N passes, so it is the lower
+end of the next bracket, which gallops out from the second-order estimate
+``nmax_approx`` plus the previous estimate's offset and is then bisected.
+Budgets at the rounding-noise level (at most 1e-12), budgets of 1 and
+states where the estimate is undefined get the cold bisection over [1, n]
+instead, whose probe sequence fixes the result where deltas are noise.
+Each bisection is ``bisect.bisect_left`` over a descending ``range``, so it
+probes upper midpoints.
 
 The concentration term depends only on the n-copy spectrum and 2^m, not on
 N, so a search over an error grid shares its concentration errors across
@@ -21,7 +31,7 @@ Below N = n the N-copy spectrum is read only by the dilution term, which
 reads its top 2^m entries.  So it is built as a partial spectrum (see
 ``concrec.spectrum``) down to 2^m0, the window's upper end is bisected on
 concentration errors alone, and the spectrum is extended once, down to 2^m
-for that end, before the dilution bisection and the minimum.
+for that end, before the branch and bound.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence, Union
 
-from .asymptotics import profile
+from .asymptotics import nmax_approx, profile
 from .conversion import concentration_fidelity, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
 from .spectrum import LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
@@ -74,19 +84,35 @@ def _gmcre(
     dil = cache(lambda m: dilution_fidelity(spec_N, 1 << m).error)
 
     # conc never decreases in m and dil never increases, and both are >= 0,
-    # so every m with delta(m) <= delta(m0) lies between the first m with
-    # dil <= bound and the last m with conc <= bound.  In floats this stays
-    # exact while no rounding moves conc down, or dil up, by the slack
-    # between any two m.  Measured for qubits up to n = 3e4: the largest
-    # such move is 9.6e-13 (conc, p = 0.25), and dil never rises.
+    # so no m above the last with conc <= bound has delta(m) <= delta(m0).
+    # Below it, on any [a, b], every delta is at least conc(a) + dil(b).
+    # Branch and bound over [1, last] evaluates both ends of an interval,
+    # drops it when that bound exceeds the best delta so far by more than
+    # the slack on each term, and splits it at its middle otherwise.  In
+    # floats this stays exact while no rounding moves conc down, or dil up,
+    # by the slack between any two m.  Measured for qubits up to n = 3e4:
+    # the largest such move is 9.6e-13 (conc, p = 0.25), and dil never
+    # rises.  Comparing (delta, m) sends ties to the smallest m.  The
+    # intervals wait on a stack: a recursive closure would be a reference
+    # cycle, keeping spec_N alive until the cycle collector runs.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     last = m_cap - bisect_left(range(m_cap, m0, -1), True, key=lambda m: conc(m) <= bound)
     spec_N = extend_spectrum(spec_N, 1 << last)
-    first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
-    # min keeps the first of equal keys, so ties go to the smallest m.
-    m = min(range(first, last + 1), key=lambda m: conc(m) + dil(m))
+
+    def key(m: int) -> tuple[float, int]:
+        return conc(m) + dil(m), m
+
+    best = key(m0)
+    stack = [(1, last)]
+    while stack:
+        a, b = stack.pop()
+        best = min(best, key(a), key(b))
+        if b - a > 1 and conc(a) + dil(b) <= best[0] + 2 * _WINDOW_SLACK:
+            mid = (a + b) // 2
+            stack += [(mid, b), (a, mid)]
+    delta, m = best
     return TradeoffResult(
-        delta=conc(m) + dil(m),
+        delta=delta,
         optimal_m=m,
         concentration_error=conc(m),
         recovery_error=dil(m),
@@ -100,11 +126,12 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
 
     Minimizes over the EPR count m in [1, N * ceil(log2 rank)] without
     evaluating every m: from the anchor m0 = round(S * N) it bisects for the
-    window of m whose dilution and concentration errors each stay within
-    delta(m0) + 1e-12, and minimizes over that window.  Every m that could
-    attain the minimum lies inside it, so the result equals a scan of the
-    full range.  Ties go to the smallest m, so results are independent of
-    evaluation order.
+    last m whose concentration error stays within delta(m0) + 1e-12, then
+    branches and bounds over [1, that m], dropping each interval whose
+    least possible delta, conc at its start plus dil at its end, exceeds
+    the best delta found by more than the slack.  No dropped m could attain
+    the minimum, so the result equals a scan of the full range.  Ties go to
+    the smallest m, so results are independent of evaluation order.
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
@@ -125,15 +152,19 @@ def recoverable_points(
     """Trade-off point at the largest N in [0, n] within each budget, in grid order.
 
     ``None`` means only N = 0 qualifies: recovering nothing costs nothing.
-    Each budget is a binary search, relying on the trade-off error being
-    non-decreasing in N.  The n-copy spectrum, the points evaluated and
-    their concentration errors are shared across the grid and dropped on
-    return.
+    The search relies on the trade-off error being non-decreasing in N.  It
+    visits the budgets in ascending order: each takes the previous budget's
+    N as a lower end that passes, gallops from ``nmax_approx`` plus the
+    previous offset to a bracket, and bisects inside it.  The n-copy
+    spectrum, the points evaluated and their concentration errors are
+    shared across the grid and dropped on return.
 
     Budgets below about 1e-12 sit in rounding noise: deltas that are 0 in
-    exact arithmetic come out as noise that is not monotone in N.  There
-    the result is the bisection's, and may lie below the largest N whose
-    delta is within the budget.
+    exact arithmetic come out as noise that is not monotone in N.  There,
+    as for a budget of 1 and for states with zero entropy or variance, the
+    search is a cold bisection over [1, n], so the result is the
+    bisection's, and may lie below the largest N whose delta is within the
+    budget.
     """
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
@@ -141,14 +172,38 @@ def recoverable_points(
         if not 0.0 < eps <= 1.0:
             raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
     spec_n = power_spectrum(sv, n)
-    entropy = profile(sv).entropy_S
+    prof = profile(sv)
     conc = _conc_errors(spec_n)
-    point = cache(lambda N: _gmcre(spec_n, N, entropy, conc))
-    found: list[Union[TradeoffResult, None]] = []
-    for eps in eps_grid:
-        N = n - bisect_left(range(n, 0, -1), True, key=lambda N: point(N).delta <= eps)
-        found.append(point(N) if N else None)
-    return found
+    point = cache(lambda N: _gmcre(spec_n, N, prof.entropy_S, conc))
+    found: dict[float, Union[TradeoffResult, None]] = {}
+    N = offset = 0
+    for eps in sorted(set(eps_grid)):
+        def passes(N: int) -> bool:
+            return point(N).delta <= eps
+
+        # The answer lies in [lo, hi): lo passes (or is 0) and hi fails (or
+        # is n + 1).  Cold, lo = 0 and hi = n + 1.
+        lo, hi = 0, n + 1
+        warm = _WINDOW_SLACK < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
+        if warm:
+            # Warm: the previous budget's N passes, since delta is
+            # non-decreasing in N.  Gallop from the second-order guess plus
+            # the previous offset, doubling the step; the first probe on the
+            # other side fixes the bracket and sends the next probe out of it.
+            approx = int(nmax_approx(sv, n, eps))
+            lo, step = N, 1
+            probe = min(max(approx + offset, lo + 1), n)
+            while lo < probe < hi:
+                if passes(probe):
+                    lo, probe = probe, probe + step
+                else:
+                    hi, probe = probe, probe - step
+                step *= 2
+        N = hi - 1 - bisect_left(range(hi - 1, lo, -1), True, key=passes)
+        if warm:
+            offset = N - approx
+        found[eps] = point(N) if N else None
+    return [found[eps] for eps in eps_grid]
 
 
 def max_recoverable(sv: SchmidtVector, n: int, eps: float) -> int:

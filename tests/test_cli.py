@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -64,6 +65,14 @@ class TestFig:
             eps, n_exact, n_approx = row.split(",")
             assert 0 <= int(n_exact) <= 80
             assert float(n_approx) < 80
+
+    def test_fig4_output_is_pinned(self, tmp_path):
+        # The SHA-256 of the whole file, header included.  A change to the
+        # trade-off searches that moves any output changes it.
+        out = tmp_path / "fig4.csv"
+        assert run(["fig", "--id", "4", "--n", "600", "--p", "0.1", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "ac52294d804307a47db5ff2217bc0b9266e5724792c4a11ac43a7a879e007042"
 
     def test_fig5_reference_point(self, tmp_path):
         eps = 2.0 * 0.5 * math.erfc(1.0 / math.sqrt(2.0))
@@ -226,6 +235,18 @@ class TestQuery:
 
     def test_invalid_range_exits_2(self, capsys):
         assert run(["query", "--kind", "gmcre", "--p", "0.1", "--n", "2", "--N", "5"]) == 2
+
+    def test_failed_numerical_check_exits_1_without_traceback(self, monkeypatch, capsys):
+        # A numerical check that fails (here a fidelity outside [0, 1]) is
+        # reported like an output failure, not as a traceback.
+        def broken(ls, L):
+            raise ArithmeticError("concentration fidelity = 1.1 outside [0, 1] beyond tolerance")
+
+        monkeypatch.setattr(cli, "concentration_fidelity", broken)
+        assert run(["query", "--kind", "error-conc", "--p", "0.1", "--n", "4", "--m", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: concentration fidelity = 1.1 outside [0, 1] beyond tolerance\n"
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

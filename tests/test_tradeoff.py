@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -181,23 +182,33 @@ class TestRecoverablePoints:
         assert recoverable_points(sv, 6, [eps]) == [None]
 
     def test_no_spectrum_outlives_a_call(self, monkeypatch):
-        real = tradeoff.power_spectrum
+        # Every spectrum built or extended is freed on return by reference
+        # counting alone: no reference cycle holds one until the cycle
+        # collector runs, so the test runs with the collector off.
         built = []
 
-        def recording(sv, copies, *count):
-            spectrum = real(sv, copies, *count)
-            built.append(weakref.ref(spectrum))
-            return spectrum
+        def recording(real):
+            def build(*args):
+                spectrum = real(*args)
+                built.append(weakref.ref(spectrum))
+                return spectrum
 
-        monkeypatch.setattr(tradeoff, "power_spectrum", recording)
+            return build
+
+        for name in ("power_spectrum", "extend_spectrum"):
+            monkeypatch.setattr(tradeoff, name, recording(getattr(tradeoff, name)))
         sv = make_schmidt([0.83, 0.17])  # a state no other test builds
-        mcre(sv, 12)
-        generalized_mcre(sv, 12, 7)
-        max_recoverable(sv, 12, 0.3)
-        recoverable_points(sv, 12, [0.5, 0.2, 0.5])
-        gc.collect()
+        gc.disable()
+        try:
+            mcre(sv, 12)
+            generalized_mcre(sv, 12, 7)
+            max_recoverable(sv, 12, 0.3)
+            recoverable_points(sv, 12, [0.5, 0.2, 0.5, 1e-13])
+            alive = [ref for ref in built if ref() is not None]
+        finally:
+            gc.enable()
         assert built
-        assert [ref for ref in built if ref() is not None] == []
+        assert alive == []
 
 
 def test_recovery_spectra_are_built_partially(monkeypatch):
@@ -249,6 +260,24 @@ def test_grid_search_matches_pointwise_and_full_scan(case):
         # search must equal a full scan.
         if eps > 1e-12:
             assert N == max((M for M, p in scan.items() if p.delta <= eps), default=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 14])
+def test_grid_search_brackets_each_budget_at_large_n(seed):
+    rng = random.Random(seed)
+    p = rng.uniform(0.05, 0.25)
+    sv, n = make_schmidt([p, 1.0 - p]), 3000
+    grid = [0.05 * i for i in range(1, 20)]
+    for eps, point in zip(grid, recoverable_points(sv, n, grid)):
+        N = point.N if point else 0
+        # delta(N) <= eps < delta(N + 1), each from its own search.
+        assert N == 0 or generalized_mcre(sv, n, N).delta <= eps
+        assert N == n or generalized_mcre(sv, n, N + 1).delta > eps
+    # Budgets at the rounding-noise level, beside ordinary ones and out of
+    # order, get the same answer as each budget searched on its own.
+    mixed = [0.3, 1e-13, 0.05, 5e-13, 1.0, 1e-15, 0.3, 2e-12, 0.9]
+    found = [point.N if point else 0 for point in recoverable_points(sv, n, mixed)]
+    assert found == [max_recoverable(sv, n, eps) for eps in mixed]
 
 
 @st.composite
@@ -310,17 +339,30 @@ def test_window_converts_each_m_once(monkeypatch):
 
 def test_grid_search_converts_each_concentration_dimension_once(monkeypatch):
     targets = []
-    real = tradeoff.concentration_fidelity
+    calls = Counter()
 
-    def recording(ls, L):
-        targets.append(L)
-        return real(ls, L)
+    def recording(name):
+        real = getattr(tradeoff, name)
 
-    monkeypatch.setattr(tradeoff, "concentration_fidelity", recording)
+        def call(ls, *args):
+            calls[name] += 1
+            if name == "concentration_fidelity":
+                targets.append(args[0])
+            return real(ls, *args)
+
+        return call
+
+    for name in ("power_spectrum", "concentration_fidelity", "dilution_fidelity"):
+        monkeypatch.setattr(tradeoff, name, recording(name))
     grid = [0.05 * i for i in range(1, 20)]
     recoverable_points(make_schmidt([0.1, 0.9]), 3000, grid)
     assert targets
     assert len(targets) == len(set(targets))
+    # The warm N bracket probes few copy counts and the branch and bound
+    # few EPR counts per point: 61 builds and 2,802 dilution calls here,
+    # against 107 and 14,231 for a cold bisection over a scanned window.
+    assert calls["power_spectrum"] <= 75
+    assert calls["dilution_fidelity"] <= 3500
 
 
 def _assert_monotone_within_slack(sv, n):
