@@ -7,20 +7,22 @@ The dilution term vanishes once 2^m covers the full target spectrum, so m
 is capped at N * ceil(log2 rank) pairs.  Within the cap, the concentration
 term never decreases in m and the dilution term never increases.  So the
 search evaluates the anchor m0 = round(S * N) (S the entropy in bits),
-bisects for the last m whose concentration error stays within delta(m0)
-plus a 1e-12 slack, and finds the first minimum over [1, that m] by branch
-and bound: on [a, b] no delta is below conc(a) + dil(b), up to the slack,
-so an interval whose bound exceeds the best delta so far is dropped unseen.
+bisects for the window of m whose terms each stay within delta(m0) plus a
+1e-12 slack, and finds the first minimum over that window by branch and
+bound: on [a, b] no delta is below conc(a) + dil(b), up to the slack, so
+an interval whose bound exceeds the best delta so far is dropped unseen.
+No concentration error below the window is read: at large n those sit at
+the float floor and can fail their range check (p = 0.1, n = 6e4).
 
 The largest recoverable N for each budget of a grid is searched in
 ascending budget order.  The previous budget's N passes, so it is the lower
 end of the next bracket, which gallops out from the second-order estimate
 ``nmax_approx`` plus the previous estimate's offset and is then bisected.
-Budgets at the rounding-noise level (at most 1e-12), budgets of 1 and
-states where the estimate is undefined get the cold bisection over [1, n]
-instead, whose probe sequence fixes the result where deltas are noise.
-Each bisection is ``bisect.bisect_left`` over a descending ``range``, so it
-probes upper midpoints.
+Budgets of at most 1e-9, far above the rounding noise of the deltas,
+budgets of 1 and states where the estimate is undefined get the cold
+bisection over [1, n] instead, whose probe sequence fixes the result where
+deltas are noise.  Each bisection is ``bisect.bisect_left`` over a
+descending ``range``, so it probes upper midpoints.
 
 The concentration term depends only on the n-copy spectrum and 2^m, not on
 N, so a search over an error grid shares its concentration errors across
@@ -31,7 +33,7 @@ Below N = n the N-copy spectrum is read only by the dilution term, which
 reads its top 2^m entries.  So it is built as a partial spectrum (see
 ``concrec.spectrum``) down to 2^m0, the window's upper end is bisected on
 concentration errors alone, and the spectrum is extended once, down to 2^m
-for that end, before the branch and bound.
+for that end, before the dilution bisection and the branch and bound.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class TradeoffResult:
 # Float slack on the bound of the EPR-count window in _gmcre.
 _WINDOW_SLACK = 1e-12
 
+# Budgets up to this get the cold bisection over N in recoverable_points.
+# Deltas carry a float floor that grows about linearly in n (3.04e-12 for
+# p = 0.1 at n = 6e4), so this leaves a margin of over 300 there.
+_NOISE_BUDGET = 1e-9
+
 
 def _conc_errors(spec_n: LeveledSpectrum) -> Callable[[int], float]:
     """The concentration error of ``spec_n`` into 2^m, as a cached function of m."""
@@ -84,13 +91,14 @@ def _gmcre(
     dil = cache(lambda m: dilution_fidelity(spec_N, 1 << m).error)
 
     # conc never decreases in m and dil never increases, and both are >= 0,
-    # so no m above the last with conc <= bound has delta(m) <= delta(m0).
-    # Below it, on any [a, b], every delta is at least conc(a) + dil(b).
-    # Branch and bound over [1, last] evaluates both ends of an interval,
-    # drops it when that bound exceeds the best delta so far by more than
-    # the slack on each term, and splits it at its middle otherwise.  In
-    # floats this stays exact while no rounding moves conc down, or dil up,
-    # by the slack between any two m.  Measured for qubits up to n = 3e4:
+    # so every m with delta(m) <= delta(m0) lies between the first m with
+    # dil <= bound and the last m with conc <= bound.  Inside that window,
+    # on any [a, b], every delta is at least conc(a) + dil(b).  Branch and
+    # bound over the window evaluates both ends of an interval, drops it
+    # when that bound exceeds the best delta so far by more than the slack
+    # on each term, and splits it at its middle otherwise.  In floats this
+    # stays exact while no rounding moves conc down, or dil up, by the
+    # slack between any two m.  Measured for qubits up to n = 3e4:
     # the largest such move is 9.6e-13 (conc, p = 0.25), and dil never
     # rises.  Comparing (delta, m) sends ties to the smallest m.  The
     # intervals wait on a stack: a recursive closure would be a reference
@@ -98,12 +106,15 @@ def _gmcre(
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     last = m_cap - bisect_left(range(m_cap, m0, -1), True, key=lambda m: conc(m) <= bound)
     spec_N = extend_spectrum(spec_N, 1 << last)
+    # Bisecting for first keeps conc from m far below m0, where it may sit
+    # at the float floor: for p = 0.1 at n = 6e4 it raises for m = 1-399.
+    first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
 
     def key(m: int) -> tuple[float, int]:
         return conc(m) + dil(m), m
 
     best = key(m0)
-    stack = [(1, last)]
+    stack = [(first, last)]
     while stack:
         a, b = stack.pop()
         best = min(best, key(a), key(b))
@@ -126,12 +137,13 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
 
     Minimizes over the EPR count m in [1, N * ceil(log2 rank)] without
     evaluating every m: from the anchor m0 = round(S * N) it bisects for the
-    last m whose concentration error stays within delta(m0) + 1e-12, then
-    branches and bounds over [1, that m], dropping each interval whose
-    least possible delta, conc at its start plus dil at its end, exceeds
-    the best delta found by more than the slack.  No dropped m could attain
-    the minimum, so the result equals a scan of the full range.  Ties go to
-    the smallest m, so results are independent of evaluation order.
+    window of m whose dilution and concentration errors each stay within
+    delta(m0) + 1e-12, then branches and bounds over that window, dropping
+    each interval whose least possible delta, conc at its start plus dil at
+    its end, exceeds the best delta found by more than the slack.  Every m
+    that could attain the minimum lies in the window and no dropped m can,
+    so the result equals a scan of the full range.  Ties go to the smallest
+    m, so results are independent of evaluation order.
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
@@ -160,11 +172,12 @@ def recoverable_points(
     shared across the grid and dropped on return.
 
     Budgets below about 1e-12 sit in rounding noise: deltas that are 0 in
-    exact arithmetic come out as noise that is not monotone in N.  There,
-    as for a budget of 1 and for states with zero entropy or variance, the
-    search is a cold bisection over [1, n], so the result is the
+    exact arithmetic come out as noise that is not monotone in N.  Budgets
+    up to 1e-9, a budget of 1 and states with zero entropy or variance get
+    a cold bisection over [1, n], so at the noise level the result is the
     bisection's, and may lie below the largest N whose delta is within the
-    budget.
+    budget.  The noise floor grows with n; the 1e-9 cutoff keeps a wide
+    margin over it at every n checked, up to 6e4.
     """
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
@@ -184,12 +197,14 @@ def recoverable_points(
         # The answer lies in [lo, hi): lo passes (or is 0) and hi fails (or
         # is n + 1).  Cold, lo = 0 and hi = n + 1.
         lo, hi = 0, n + 1
-        warm = _WINDOW_SLACK < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
+        warm = _NOISE_BUDGET < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
         if warm:
             # Warm: the previous budget's N passes, since delta is
             # non-decreasing in N.  Gallop from the second-order guess plus
             # the previous offset, doubling the step; the first probe on the
             # other side fixes the bracket and sends the next probe out of it.
+            # Without the guess it builds more spectra than the cold search
+            # (fig4 grid, p = 0.077, n = 3000: 175 against 107; 65 with it).
             approx = int(nmax_approx(sv, n, eps))
             lo, step = N, 1
             probe = min(max(approx + offset, lo + 1), n)

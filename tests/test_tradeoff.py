@@ -1,7 +1,9 @@
+import functools
 import gc
 import math
 import random
 import weakref
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +23,7 @@ from concrec import (
     recoverable_points,
     tradeoff,
 )
+from concrec.asymptotics import profile
 from concrec.conversion import concentration_fidelity, dilution_fidelity
 from concrec.errors import InvalidEpsilon, InvalidRange
 
@@ -267,17 +270,50 @@ def test_grid_search_brackets_each_budget_at_large_n(seed):
     rng = random.Random(seed)
     p = rng.uniform(0.05, 0.25)
     sv, n = make_schmidt([p, 1.0 - p]), 3000
+    delta = functools.cache(lambda N: generalized_mcre(sv, n, N).delta)  # one search per N
     grid = [0.05 * i for i in range(1, 20)]
-    for eps, point in zip(grid, recoverable_points(sv, n, grid)):
-        N = point.N if point else 0
-        # delta(N) <= eps < delta(N + 1), each from its own search.
-        assert N == 0 or generalized_mcre(sv, n, N).delta <= eps
-        assert N == n or generalized_mcre(sv, n, N + 1).delta > eps
-    # Budgets at the rounding-noise level, beside ordinary ones and out of
-    # order, get the same answer as each budget searched on its own.
-    mixed = [0.3, 1e-13, 0.05, 5e-13, 1.0, 1e-15, 0.3, 2e-12, 0.9]
-    found = [point.N if point else 0 for point in recoverable_points(sv, n, mixed)]
-    assert found == [max_recoverable(sv, n, eps) for eps in mixed]
+    # The fig4 grid alone, then with noise-level budgets beside ordinary
+    # ones, out of order and repeated.
+    mixed = [0.3, 1e-13, 0.05, 5e-13, 1.0, 1e-15, 0.3, 2e-12, 1e-10, 0.9]
+    for budgets in (grid, mixed):
+        for eps, point in zip(budgets, recoverable_points(sv, n, budgets)):
+            N = point.N if point else 0
+            if eps <= tradeoff._NOISE_BUDGET:
+                # README: at the noise level the result is the bisection's.
+                key = lambda M: delta(M) <= eps
+                assert N == n - bisect_left(range(n, 0, -1), True, key=key)
+            else:
+                assert N == 0 or delta(N) <= eps
+                assert N == n or delta(N + 1) > eps
+
+
+@pytest.mark.parametrize("N", [600, 250])
+def test_no_concentration_error_is_read_below_the_window(monkeypatch, N):
+    # For p = 0.1 at n = 6e4 the concentration error at every m from 1 to
+    # 399 sits at the float floor and fails its range check, while the
+    # optimum is m = 28,107.  Here it raises below the window's first m, the
+    # first with a dilution error within delta(m0) + slack, as that floor
+    # would, and the search must still find the same point.
+    sv, n = make_schmidt([0.1, 0.9]), 600
+    expected = generalized_mcre(sv, n, N)
+    spec_n, spec_N = power_spectrum(sv, n), power_spectrum(sv, N)
+    m0 = round(profile(sv).entropy_S * N)
+    bound = (
+        concentration_fidelity(spec_n, 1 << m0).error
+        + dilution_fidelity(spec_N, 1 << m0).error
+        + tradeoff._WINDOW_SLACK
+    )
+    first = next(m for m in range(1, m0 + 1) if dilution_fidelity(spec_N, 1 << m).error <= bound)
+    assert first > 1
+    real = tradeoff.concentration_fidelity
+
+    def guarded(ls, L):
+        if L < 1 << first:
+            raise ArithmeticError(f"concentration read below the window: L = {L}")
+        return real(ls, L)
+
+    monkeypatch.setattr(tradeoff, "concentration_fidelity", guarded)
+    assert generalized_mcre(sv, n, N) == expected
 
 
 @st.composite
@@ -359,7 +395,7 @@ def test_grid_search_converts_each_concentration_dimension_once(monkeypatch):
     assert targets
     assert len(targets) == len(set(targets))
     # The warm N bracket probes few copy counts and the branch and bound
-    # few EPR counts per point: 61 builds and 2,802 dilution calls here,
+    # few EPR counts per point: 61 builds and 2,871 dilution calls here,
     # against 107 and 14,231 for a cold bisection over a scanned window.
     assert calls["power_spectrum"] <= 75
     assert calls["dilution_fidelity"] <= 3500
