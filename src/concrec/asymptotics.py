@@ -113,7 +113,7 @@ def nmax_approx(sv: SchmidtVector, n: int, eps: float) -> float:
     prof = _positive_variance(sv)
     if prof.entropy_S <= 0.0:
         raise DegenerateVariance("approximation needs positive entropy")
-    return n - prof.loss_scale * normal_quantile(1.0 - eps / 2.0) * math.sqrt(n)
+    return n - loss_coefficient(sv, eps) * math.sqrt(n)
 
 
 def loss_coefficient(sv: SchmidtVector, eps: float) -> float:

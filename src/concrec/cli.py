@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -37,29 +36,6 @@ from .tradeoff import delta_curve, generalized_mcre, mcre, recoverable_points
 
 QUERY_KINDS = ("mcre", "gmcre", "nmax", "error-conc", "error-dil", "profile")
 SUITES = ("oracle", "identities", "asymptotic")
-
-_DEFAULTS = {
-    "p": 0.1,
-    "n": 3000,
-    "kmax": 10,
-    "format": "csv",
-    "seed": 0,
-}
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """Everything needed to produce one figure data file."""
-
-    figure_id: str
-    state: SchmidtVector
-    n: int
-    kmax: int
-    epsilon_grid: tuple[float, ...]
-    b_grid: tuple[float, ...]
-    output_path: str
-    format: str
-
 
 def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
     try:
@@ -93,15 +69,18 @@ def _load_config(path: Union[str, None]) -> dict[str, str]:
 def _param(args, config: dict[str, str], name: str, cast, default=None):
     """A flag beats the config file, which beats ``default``; with no
     default the parameter is required.  ``cast`` reads config text, and
-    flag values too, which argparse leaves as text for the list flags."""
+    flag values too, which argparse leaves as text for the list flags.
+    The config entry is taken out of ``config`` either way, so the keys left
+    at the end are those no parameter reads."""
+    text = config.pop(name, None)
     value = getattr(args, name)
     if value is not None:
         return cast(value)
-    if name in config:
+    if text is not None:
         try:
-            return cast(config[name])
+            return cast(text)
         except ValueError as exc:
-            raise ParamError(f"config value {name}={config[name]!r} is not valid") from exc
+            raise ParamError(f"config value {name}={text!r} is not valid") from exc
     if default is None:
         raise ParamError(f"query kind {args.kind!r} requires --{name}")
     return default
@@ -114,14 +93,22 @@ def _output_format(args, config: dict[str, str], default: str) -> str:
     return fmt
 
 
+def _refuse_unread(config: dict[str, str]) -> None:
+    """Refuse the config keys that no parameter of the command has read."""
+    if config:
+        raise ParamError(f"unknown config key(s) for this command: {', '.join(config)}")
+
+
 def _resolve_state(args, config: dict[str, str]) -> SchmidtVector:
     if (args.p is not None and args.schmidt is not None) or ("p" in config and "schmidt" in config):
         raise ParamError("give either --p or --schmidt, not both")
+    schmidt = config.pop("schmidt", None)
     if args.schmidt is not None:
-        return make_schmidt(_parse_float_list(args.schmidt, "schmidt"))
-    if "schmidt" in config and args.p is None:
-        return make_schmidt(_parse_float_list(config["schmidt"], "schmidt"))
-    p = _param(args, config, "p", float, _DEFAULTS["p"])
+        schmidt = args.schmidt
+    if schmidt is not None and args.p is None:
+        config.pop("p", None)
+        return make_schmidt(_parse_float_list(schmidt, "schmidt"))
+    p = _param(args, config, "p", float, 0.1)
     if not 0.0 < p < 1.0:
         raise ParamError(f"--p must be in (0, 1), got {p}")
     return make_schmidt([p, 1.0 - p])
@@ -154,47 +141,53 @@ def _state_text(sv: SchmidtVector) -> str:
     return ",".join(repr(p) for p in sv.probs)
 
 
-def run_figure(spec: FigureSpec) -> tuple[Sequence[str], list, list[tuple[str, str]]]:
+def run_figure(
+    figure_id: str,
+    sv: SchmidtVector,
+    n: int,
+    kmax: int,
+    epsilon_grid: Sequence[float],
+    b_grid: Sequence[float],
+) -> tuple[Sequence[str], list, list[tuple[str, str]]]:
     """Compute the rows of one figure; returns (columns, rows, metadata)."""
-    sv = spec.state
     metadata: list[tuple[str, str]] = [
-        ("figure", spec.figure_id),
+        ("figure", figure_id),
         ("state", _state_text(sv)),
         ("version", __version__),
     ]
-    if spec.figure_id == "fig2":
-        metadata.append(("kmax", str(spec.kmax)))
+    if figure_id == "fig2":
+        metadata.append(("kmax", str(kmax)))
         metadata.append(("units", "log2_n:bits,delta:1"))
-        points = delta_curve(sv, [1 << k for k in range(1, spec.kmax + 1)])
+        points = delta_curve(sv, [1 << k for k in range(1, kmax + 1)])
         rows = [(k, delta) for k, (_n, delta) in enumerate(points, start=1)]
         return ("log2_n", "delta"), rows, metadata
-    if spec.figure_id == "fig3":
+    if figure_id == "fig3":
         prof = profile(sv)
         if prof.variance_V <= 0.0:
             raise InvalidSpec("fig3 needs a state with non-flat spectrum (V > 0)")
         metadata.append(("units", "b:bits_per_sqrt_copy,conc_limit:1,dil_limit:1"))
         rows = []
-        for b in spec.b_grid:
+        for b in b_grid:
             conc, dil = prop3_limits(sv, prof.entropy_S, b)
             rows.append((b, conc, dil))
         return ("b", "conc_limit", "dil_limit"), rows, metadata
-    if spec.figure_id == "fig4":
+    if figure_id == "fig4":
         prof = profile(sv)
         if prof.variance_V <= 0.0 or prof.entropy_S <= 0.0:
             raise InvalidSpec("fig4 needs a state with V > 0 and S > 0")
-        metadata.append(("n", str(spec.n)))
+        metadata.append(("n", str(n)))
         metadata.append(("units", "epsilon:1,N_exact:copies,N_approx:copies"))
-        points = recoverable_points(sv, spec.n, spec.epsilon_grid)
+        points = recoverable_points(sv, n, epsilon_grid)
         rows = [
-            (eps, point.N if point else 0, nmax_approx(sv, spec.n, eps))
-            for eps, point in zip(spec.epsilon_grid, points)
+            (eps, point.N if point else 0, nmax_approx(sv, n, eps))
+            for eps, point in zip(epsilon_grid, points)
         ]
         return ("epsilon", "N_exact", "N_approx"), rows, metadata
-    if spec.figure_id == "fig5":
+    if figure_id == "fig5":
         metadata.append(("units", "epsilon:1,coefficient:copies_per_sqrt_copy"))
-        rows = [(eps, normal_quantile(1.0 - eps / 2.0)) for eps in spec.epsilon_grid]
+        rows = [(eps, normal_quantile(1.0 - eps / 2.0)) for eps in epsilon_grid]
         return ("epsilon", "coefficient"), rows, metadata
-    raise InvalidSpec(f"unknown figure id {spec.figure_id!r}")
+    raise InvalidSpec(f"unknown figure id {figure_id!r}")
 
 
 def _cmd_fig(args) -> int:
@@ -213,32 +206,26 @@ def _cmd_fig(args) -> int:
             raise ParamError(f"epsilon values must lie in (0, 1), got {eps}")
     b_default = tuple(float(b) for b in np.linspace(-4.0, 4.0, 81))
     b_grid = _param(args, config, "b_grid", lambda text: _parse_float_list(text, "b"), b_default)
-    spec = FigureSpec(
-        figure_id=figure_id,
-        state=state,
-        n=_param(args, config, "n", int, _DEFAULTS["n"]),
-        kmax=_param(args, config, "kmax", int, _DEFAULTS["kmax"]),
-        epsilon_grid=eps_grid,
-        b_grid=b_grid,
-        output_path=args.out,
-        format=_output_format(args, config, _DEFAULTS["format"]),
-    )
-    if spec.n < 1 or spec.kmax < 1:
+    n = _param(args, config, "n", int, 3000)
+    kmax = _param(args, config, "kmax", int, 10)
+    fmt = _output_format(args, config, "csv")
+    _refuse_unread(config)
+    if n < 1 or kmax < 1:
         raise ParamError("--n and --kmax must be >= 1")
 
     start = time.perf_counter()
-    columns, rows, metadata = run_figure(spec)
+    columns, rows, metadata = run_figure(figure_id, state, n, kmax, eps_grid, b_grid)
     for row in rows:
         for value in row:
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidSpec(f"non-finite value {value!r} in output row {row}")
-    text = (_render_csv if spec.format == "csv" else _render_json)(metadata, columns, rows)
+    text = (_render_csv if fmt == "csv" else _render_json)(metadata, columns, rows)
     try:
-        Path(spec.output_path).write_text(text)
+        Path(args.out).write_text(text)
     except OSError as exc:
-        raise IoFailure(f"cannot write {spec.output_path}: {exc}") from exc
+        raise IoFailure(f"cannot write {args.out}: {exc}") from exc
     elapsed = time.perf_counter() - start
-    print(f"wrote {spec.output_path} ({len(rows)} rows) in {elapsed:.2f}s")
+    print(f"wrote {args.out} ({len(rows)} rows) in {elapsed:.2f}s")
     return 0
 
 
@@ -246,15 +233,20 @@ def _cmd_query(args) -> int:
     config = _load_config(args.config)
     state = _resolve_state(args, config)
     fmt = _output_format(args, config, "json")
-    record: dict[str, object] = {"kind": args.kind, "state": _state_text(state)}
     kind = args.kind
+    # Every parameter is read before any work, so an unknown config key is
+    # refused up front.
+    n = _param(args, config, "n", int) if kind not in ("error-dil", "profile") else None
+    N = _param(args, config, "N", int) if kind in ("gmcre", "error-dil") else None
+    m = _param(args, config, "m", int) if kind in ("error-conc", "error-dil") else None
+    eps = _param(args, config, "eps", float) if kind == "nmax" else None
+    _refuse_unread(config)
+    record: dict[str, object] = {"kind": kind, "state": _state_text(state)}
     if kind in ("mcre", "gmcre"):
-        n = _param(args, config, "n", int)
         record["n"] = n
         if kind == "mcre":
             result = mcre(state, n)
         else:
-            N = _param(args, config, "N", int)
             record["N"] = N
             result = generalized_mcre(state, n, N)
         record.update(
@@ -264,8 +256,6 @@ def _cmd_query(args) -> int:
             recovery_error=result.recovery_error,
         )
     elif kind == "nmax":
-        n = _param(args, config, "n", int)
-        eps = _param(args, config, "eps", float)
         (point,) = recoverable_points(state, n, [eps])
         n_exact = point.N if point else 0
         record.update(n=n, eps=eps, N_max=n_exact, loss=n - n_exact)
@@ -275,8 +265,6 @@ def _cmd_query(args) -> int:
         if point:
             record["delta_at_N_max"] = point.delta
     elif kind == "error-conc":
-        n = _param(args, config, "n", int)
-        m = _param(args, config, "m", int)
         if n < 0 or m < 1:
             raise ParamError("error-conc needs n >= 0 and m >= 1")
         result = concentration_fidelity(power_spectrum(state, n), 1 << m)
@@ -288,8 +276,6 @@ def _cmd_query(args) -> int:
             flatten_index_J=result.flatten_index_J,
         )
     elif kind == "error-dil":
-        N = _param(args, config, "N", int)
-        m = _param(args, config, "m", int)
         if N < 0 or m < 1:
             raise ParamError("error-dil needs N >= 0 and m >= 1")
         result = dilution_fidelity(power_spectrum(state, N), 1 << m)
@@ -329,20 +315,18 @@ def _render_record(record: dict[str, object], fmt: str) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-class _Report:
-    def __init__(self) -> None:
-        self.failed = False
-
-    def check(self, name: str, deviation: float, tolerance: float) -> None:
-        ok = deviation <= tolerance
-        self.failed |= not ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name}: max deviation {deviation:.3e} (tolerance {tolerance:.1e})")
+def _check(name: str, deviation: float, tolerance: float) -> bool:
+    """Print one PASS or FAIL line; True when it passes."""
+    ok = deviation <= tolerance
+    status = "PASS" if ok else "FAIL"
+    print(f"{status}  {name}: max deviation {deviation:.3e} (tolerance {tolerance:.1e})")
+    return ok
 
 
-def _suite_oracle(seed: int) -> _Report:
+def _suite_oracle(seed: int) -> bool:
+    if seed < 0:
+        raise ParamError(f"--seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    report = _Report()
     worst = 0.0
     trials = 0
     for _ in range(200):
@@ -356,12 +340,10 @@ def _suite_oracle(seed: int) -> _Report:
             worst = max(worst, abs(formula - oracle))
             trials += 1
     print(f"compared 200 random states across L in 2..8 ({trials} pairs)")
-    report.check("concentration fidelity vs brute-force oracle", worst, 1e-6)
-    return report
+    return _check("concentration fidelity vs brute-force oracle", worst, 1e-6)
 
 
-def _suite_identities() -> _Report:
-    report = _Report()
+def _suite_identities() -> bool:
     sv = make_schmidt([0.9, 0.1])
 
     mass_dev = 0.0
@@ -376,9 +358,10 @@ def _suite_identities() -> _Report:
             abs(log2_prefix_sqrt_mass(ls, ls.total_count) - n * log2_sqrt_single),
         )
         count_dev = max(count_dev, abs(ls.total_count - 2**n))
-    report.check("total mass equals 1", mass_dev, 1e-10)
-    report.check("log2 of total sqrt-mass equals n*log2(sum sqrt p)", sqrt_dev, 1.5e-9)
-    report.check("total count equals rank^n", count_dev, 0.0)
+    # & rather than and: every check prints its line.
+    ok = _check("total mass equals 1", mass_dev, 1e-10)
+    ok &= _check("log2 of total sqrt-mass equals n*log2(sum sqrt p)", sqrt_dev, 1.5e-9)
+    ok &= _check("total count equals rank^n", count_dev, 0.0)
 
     dense_dev = 0.0
     for probs in ([0.9, 0.1], [0.5, 0.3, 0.2]):
@@ -388,7 +371,7 @@ def _suite_identities() -> _Report:
             dense = dense_power_spectrum(svd.probs, n)
             expanded = np.repeat(np.power(2.0, ls.log2_eigenvalues), np.diff(ls.starts))
             dense_dev = max(dense_dev, float(np.max(np.abs(expanded - dense))))
-    report.check("leveled spectrum equals dense enumeration", dense_dev, 1e-12)
+    ok &= _check("leveled spectrum equals dense enumeration", dense_dev, 1e-12)
 
     mono_dev = 0.0
     ls16 = power_spectrum(sv, 16)
@@ -401,12 +384,10 @@ def _suite_identities() -> _Report:
     deltas = [generalized_mcre(sv, 32, N).delta for N in range(1, 33)]
     for a, b in zip(deltas, deltas[1:]):
         mono_dev = max(mono_dev, a - b)
-    report.check("monotonicity (conc in m, dil in m, delta in N)", mono_dev, 1e-12)
-    return report
+    return _check("monotonicity (conc in m, dil in m, delta in N)", mono_dev, 1e-12) & ok
 
 
-def _suite_asymptotic(n: int) -> _Report:
-    report = _Report()
+def _suite_asymptotic(n: int) -> bool:
     sv = make_schmidt([0.9, 0.1])
     prof = profile(sv)
     if n < 0:
@@ -423,21 +404,20 @@ def _suite_asymptotic(n: int) -> _Report:
         dil = dilution_fidelity(ls, 1 << m).error
         conc_dev = max(conc_dev, abs(conc - limit))
         dil_dev = max(dil_dev, abs(dil - (1.0 - limit)))
-    report.check(f"concentration error vs Gaussian limit at n={n}", conc_dev, 0.05)
-    report.check(f"dilution error vs Gaussian limit at n={n}", dil_dev, 0.05)
-    return report
+    ok = _check(f"concentration error vs Gaussian limit at n={n}", conc_dev, 0.05)
+    return _check(f"dilution error vs Gaussian limit at n={n}", dil_dev, 0.05) & ok
 
 
 def _cmd_validate(args) -> int:
     if args.suite == "oracle":
-        report = _suite_oracle(args.seed if args.seed is not None else _DEFAULTS["seed"])
+        ok = _suite_oracle(args.seed if args.seed is not None else 0)
     elif args.suite == "identities":
-        report = _suite_identities()
+        ok = _suite_identities()
     elif args.suite == "asymptotic":
-        report = _suite_asymptotic(args.n if args.n is not None else _DEFAULTS["n"])
+        ok = _suite_asymptotic(args.n if args.n is not None else 3000)
     else:
         raise ParamError(f"unknown suite {args.suite!r}")
-    return 1 if report.failed else 0
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,12 +20,13 @@ import numpy as np
 
 from .errors import DimensionTooLargeForOracle, InvalidDimension
 from .spectrum import (
-    NEG_INF,
     LeveledSpectrum,
     SchmidtVector,
     _exp2,
     _require_complete,
     log2_int,
+    log2_prefix_sqrt_mass,
+    log2_tail_mass,
     prefix_mass,
 )
 
@@ -51,8 +52,8 @@ def _clamp_unit(x: float, what: str) -> float:
     return x
 
 
-def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
-    """(level-boundary index, cut position J) of the optimal flatten cut.
+def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
+    """Cut position J of the optimal flatten cut.
 
     J is the smallest j in [0, L-1] whose tail average (sum of entries after
     j, divided by L - j) is at least the next entry.  The condition, once
@@ -66,23 +67,19 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> tuple[int, int]:
     starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues
-    n_levels = ls.num_levels
 
     def condition(i: int) -> bool:
-        # Python floats: bisect compares the result with True, slowly for numpy.bool_.
-        tail = float(suffix[i])
-        threshold = float(eigs[i]) if i < n_levels else NEG_INF
-        if tail == NEG_INF:
-            return threshold == NEG_INF
-        return tail - log2_int(L - starts[i]) >= threshold
+        # i < i_max <= num_levels, and suffix[i] is a log-add of finite level
+        # masses.  Python floats: bisect compares the result with True, slowly
+        # for numpy.bool_.
+        return float(suffix[i]) - log2_int(L - starts[i]) >= float(eigs[i])
 
     # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
     # The last boundary below L, i_max, is never tested: exact arithmetic
     # guarantees the condition there, and float rounding can only miss it
     # at an exact tie, where either cut choice yields the same fidelity.
     i_max = bisect_right(starts, L - 1) - 1
-    i = bisect_left(range(i_max), True, key=condition)
-    return i, starts[i]
+    return starts[bisect_left(range(i_max), True, key=condition)]
 
 
 def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
@@ -92,15 +89,10 @@ def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
     The fidelity is sqrt(1/L) * sum of sqrt of the J kept weights plus
     sqrt((1 - J/L) * tail mass); both terms are assembled in log2 space.
     """
-    level_idx, J = _flatten_boundary(ls, L)
+    J = _flatten_boundary(ls, L)
     log2_L = log2_int(L)
-    first = 0.0
-    if level_idx > 0:
-        first = _exp2(ls.prefix_log2_sqrt_mass[level_idx - 1] - 0.5 * log2_L)
-    tail = ls.suffix_log2_mass[level_idx]
-    second = 0.0
-    if tail > NEG_INF:
-        second = _exp2(0.5 * (log2_int(L - J) - log2_L + tail))
+    first = _exp2(log2_prefix_sqrt_mass(ls, J) - 0.5 * log2_L)
+    second = _exp2(0.5 * (log2_int(L - J) - log2_L + log2_tail_mass(ls, J)))
     fidelity = _clamp_unit(first + second, "concentration fidelity")
     error = _clamp_unit(1.0 - fidelity * fidelity, "concentration error")
     return ConversionResult(fidelity=fidelity, error=error, flatten_index_J=J)

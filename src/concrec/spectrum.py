@@ -16,8 +16,6 @@ The build works on whole columns.  The exponent vectors form one int64
 array and the multiplicities one list, from an exact ratio ladder that
 takes one big-by-small product per level and, when the last two value
 groups have equal sizes, runs only half its length and mirrors the rest.
-When those are the only two groups (every qubit), the log2 of the counts
-is taken over that half too.
 The log2 eigenvalues are one numpy product of that array with the log2
 values, summed along each row: a single float addition rounds a sum of
 one or two terms exactly as ``math.fsum`` does, while three or more terms
@@ -155,8 +153,8 @@ class LeveledSpectrum:
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
     sentinel so ``suffix_log2_mass[i]`` is always the mass of levels ``i..``.
-    Instances are immutable; every query below is pure and safe to call
-    concurrently.
+    Instances are immutable, their array columns sealed read-only on
+    construction; every query below is pure and safe to call concurrently.
 
     A *partial* spectrum (``complete`` is False) holds only the heaviest
     levels: their ``starts``, ``log2_eigenvalues`` and ``prefix_log2_mass``,
@@ -174,6 +172,11 @@ class LeveledSpectrum:
     prefix_log2_mass: np.ndarray
     prefix_log2_sqrt_mass: Optional[np.ndarray]
     suffix_log2_mass: Optional[np.ndarray]
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def num_levels(self) -> int:
@@ -257,15 +260,8 @@ def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _log2_counts(counts: Iterable[int]) -> np.ndarray:
-    """log2_int of each count, inlined: a call per level would cost about as
-    much as its work."""
-    return np.array(
-        [
-            math.log2(m) if (b := m.bit_length()) <= 53 else math.log2(m >> (b - 53)) + (b - 53)
-            for m in counts
-        ],
-        dtype=np.float64,
-    )
+    """log2_int of each count."""
+    return np.fromiter(map(log2_int, counts), dtype=np.float64)
 
 
 def _build_bytes(levels: int, n: int, rank: int) -> float:
@@ -391,14 +387,11 @@ def _leading_levels(
     prefix = np.concatenate((prefix[:-1], tail))
     if prefix[-1] > _MASS_GUARD:
         raise ArithmeticError("spectrum mass exceeds 1; construction is broken")
-    log2_eigs = eigs[:k].copy()
-    for arr in (log2_eigs, prefix):
-        arr.flags.writeable = False
     return LeveledSpectrum(
         base=sv,
         copies=n,
         starts=tuple(starts),
-        log2_eigenvalues=log2_eigs,
+        log2_eigenvalues=eigs[:k].copy(),
         prefix_log2_mass=prefix,
         prefix_log2_sqrt_mass=None,
         suffix_log2_mass=None,
@@ -417,13 +410,7 @@ def _full_spectrum(
     eigs = _log2_eigs(exps, values)
     order = np.lexsort((*exps.T[::-1], -eigs))
     log2_eigs = eigs[order]
-    # Symmetric counts (see _type_columns): row i holds the count of row
-    # n - i, so the log2 of the first half, gathered, gives every level's.
-    if len(sizes) == 2 and sizes[0] == sizes[1]:
-        half = itertools.islice(mults, n // 2 + 1)
-        log2_mults = _log2_counts(half)[np.minimum(order, n - order)]
-    else:
-        log2_mults = _log2_counts(mults)[order]
+    log2_mults = _log2_counts(mults)[order]
     mults = [mults[i] for i in order.tolist()]
     # Pop each big multiplicity as it is counted, down to the None put under
     # them, so the spectrum's big integers are never held twice.
@@ -444,8 +431,6 @@ def _full_spectrum(
     if abs(prefix_mass[-1]) > _MASS_GUARD:
         raise ArithmeticError("spectrum mass drifted from 1; construction is broken")
 
-    for arr in (log2_eigs, prefix_mass, prefix_sqrt, suffix):
-        arr.flags.writeable = False
     return LeveledSpectrum(
         base=sv,
         copies=n,

@@ -12,7 +12,7 @@ import pytest
 
 import concrec
 from concrec import cli, concentration_fidelity, make_schmidt, spectrum, tradeoff
-from concrec.cli import FigureSpec, main
+from concrec.cli import main
 
 
 def run(args):
@@ -73,6 +73,34 @@ class TestFig:
         assert run(["fig", "--id", "4", "--n", "600", "--p", "0.1", "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "ac52294d804307a47db5ff2217bc0b9266e5724792c4a11ac43a7a879e007042"
+
+    @pytest.mark.parametrize(
+        "state, n, digest",
+        [
+            (
+                ["--p", "0.1"],
+                "3000",
+                "680ce26a456412bc5c6d0080f1c13a015f6b74a948548d99889976a2b32aeb09",
+            ),
+            (
+                ["--schmidt", "0.5,0.3,0.2"],
+                "60",
+                "0db4696cb0b10df6826acb48d42a796776ad8dbe4960bfd1033f78cfe140eda4",
+            ),
+        ],
+    )
+    def test_mcre_record_is_pinned(self, state, n, digest, capsys):
+        # The SHA-256 of the whole JSON record, newline included.
+        assert run(["query", "--kind", "mcre", *state, "--n", n]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_concentration_results_are_pinned(self):
+        # Every 7th m up to 3100 at n = 3000: the cut J runs from 0 up to the
+        # total 2^3000, where the tail mass is the -inf sentinel.
+        ls = concrec.power_spectrum(make_schmidt([0.9, 0.1]), 3000)
+        text = "\n".join(repr(concentration_fidelity(ls, 1 << m)) for m in range(1, 3101, 7))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "7d738fd8f24e59aaee2526503831b10479d4b05a34352794590dd645fe659d7f"
 
     def test_fig5_reference_point(self, tmp_path):
         eps = 2.0 * 0.5 * math.erfc(1.0 / math.sqrt(2.0))
@@ -269,6 +297,10 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
+    def test_oracle_refuses_negative_seed(self, capsys):
+        assert run(["validate", "--suite", "oracle", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n", ["2", "-3"])
     def test_asymptotic_refuses_too_small_n(self, n, capsys):
         # At n = 2, m = floor(S*n - sqrt(n)) < 0 for b = -1.
@@ -322,6 +354,29 @@ class TestConfig:
         cfg.write_text("n = not-a-number\n")
         assert run(["query", "--kind", "mcre", "--p", "0.1", "--config", str(cfg)]) == 2
 
+    def test_unknown_config_key_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "concrec.cfg"
+        cfg.write_text("eps-grid = 0.5\nkmx = 3\n")
+        out = tmp_path / "fig5.csv"
+        assert run(["fig", "--id", "5", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "eps-grid" in err and "kmx" in err
+        assert not out.exists()
+        cfg.write_text("p = 0.1\nn = 1\nm = 3\n")
+        assert run(["query", "--kind", "mcre", "--config", str(cfg)]) == 2
+        assert "config key(s) for this command: m\n" in capsys.readouterr().err
+
+    def test_flags_and_state_read_their_config_keys(self, tmp_path, capsys):
+        # A key a flag overrides is read, not unknown.
+        cfg = tmp_path / "concrec.cfg"
+        cfg.write_text("schmidt = 0.5,0.5\nn = 1\n")
+        args = ["query", "--kind", "mcre", "--p", "0.1", "--n", "2"]
+        assert run([*args, "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 2
+        cfg.write_text("p = 0.2\n")
+        args = ["query", "--kind", "profile", "--schmidt", "0.5,0.5"]
+        assert run([*args, "--config", str(cfg)]) == 0
+
     def test_config_supplies_b_grid(self, tmp_path):
         cfg = tmp_path / "concrec.cfg"
         cfg.write_text("b_grid = 0.5\n")
@@ -370,17 +425,14 @@ def _count_builds(monkeypatch):
 class TestSpectrumBuilds:
     def test_fig4_builds_each_copy_count_once(self, monkeypatch):
         built = _count_builds(monkeypatch)
-        spec = FigureSpec(
-            figure_id="fig4",
-            state=make_schmidt([0.9, 0.1]),
+        cli.run_figure(
+            "fig4",
+            make_schmidt([0.9, 0.1]),
             n=200,
             kmax=10,
             epsilon_grid=tuple(0.05 * i for i in range(1, 20)),
             b_grid=(),
-            output_path="",
-            format="csv",
         )
-        cli.run_figure(spec)
         assert built[200] == 1
         assert max(built.values()) == 1
 

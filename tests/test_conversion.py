@@ -24,9 +24,9 @@ from _oracles import (
 
 class TestFlattenIndex:
     def test_single_copy_examples(self):
-        assert _flatten_boundary(power_spectrum(make_schmidt([0.9, 0.1]), 1), 2)[1] == 1
-        assert _flatten_boundary(power_spectrum(make_schmidt([0.5, 0.5]), 1), 2)[1] == 0
-        assert _flatten_boundary(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2)[1] == 0
+        assert _flatten_boundary(power_spectrum(make_schmidt([0.9, 0.1]), 1), 2) == 1
+        assert _flatten_boundary(power_spectrum(make_schmidt([0.5, 0.5]), 1), 2) == 0
+        assert _flatten_boundary(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2) == 0
 
     def test_invalid_dimension(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 1)
@@ -40,7 +40,7 @@ class TestFlattenIndex:
             ls = power_spectrum(sv, n)
             dense = dense_power_spectrum(sv.probs, n)
             for L in [1, 2, 3, 5, 8, 64, 1 << n, (1 << n) + 1, 1 << (n + 1)]:
-                assert _flatten_boundary(ls, L)[1] == dense_flatten_index(dense, L), (n, L)
+                assert _flatten_boundary(ls, L) == dense_flatten_index(dense, L), (n, L)
 
     def test_matches_dense_scan_qutrit(self):
         for probs in ([0.5, 0.3, 0.2], [0.5, 0.25, 0.25]):
@@ -49,11 +49,11 @@ class TestFlattenIndex:
                 ls = power_spectrum(sv, n)
                 dense = dense_power_spectrum(sv.probs, n)
                 for L in [1, 2, 4, 7, 16, 81, 3**n, 3**n + 5]:
-                    assert _flatten_boundary(ls, L)[1] == dense_flatten_index(dense, L), (n, L)
+                    assert _flatten_boundary(ls, L) == dense_flatten_index(dense, L), (n, L)
 
     def test_huge_dimension(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 40)
-        J = _flatten_boundary(ls, 1 << 200)[1]
+        J = _flatten_boundary(ls, 1 << 200)
         assert J == ls.total_count  # everything kept, flat part beyond spectrum
 
     def test_binary_search_matches_linear_boundary_scan_at_scale(self):
@@ -80,7 +80,7 @@ class TestFlattenIndex:
                     expected = cut
                     break
             assert expected is not None
-            assert _flatten_boundary(ls, L)[1] == expected, m
+            assert _flatten_boundary(ls, L) == expected, m
 
     def test_tie_insensitivity(self):
         # When the flattened tail average exactly equals the next weight,
@@ -89,7 +89,7 @@ class TestFlattenIndex:
         for probs, L in ([0.4, 0.3, 0.3], 3), ([0.4, 0.2, 0.2, 0.2], 4), ([0.5, 0.25, 0.25], 3):
             sv = make_schmidt(probs)
             ls = power_spectrum(sv, 1)
-            J = _flatten_boundary(ls, L)[1]
+            J = _flatten_boundary(ls, L)
             dense = np.asarray(sv.probs)
 
             def eta_value(cut: int) -> float:
