@@ -108,8 +108,6 @@ def mcre_limit(sv: SchmidtVector, b_prime: float) -> float:
 def nmax_approx(sv: SchmidtVector, n: int, eps: float) -> float:
     """Second-order approximation of the maximum recoverable copy count:
     n - (2*sqrt(V)/S) * quantile(1 - eps/2) * sqrt(n), not floored."""
-    if not 0.0 < eps < 1.0:
-        raise InvalidEpsilon(f"need 0 < eps < 1, got {eps}")
     prof = _positive_variance(sv)
     if prof.entropy_S <= 0.0:
         raise DegenerateVariance("approximation needs positive entropy")

@@ -7,6 +7,9 @@ be written), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
+import io
 import json
 import math
 import sys
@@ -114,18 +117,13 @@ def _resolve_state(args, config: dict[str, str]) -> SchmidtVector:
     return make_schmidt([p, 1.0 - p])
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def _render_csv(metadata: list[tuple[str, str]], columns: Sequence[str], rows) -> str:
-    lines = [f"# {key}={value}" for key, value in metadata]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.writelines(f"# {key}={value}\n" for key, value in metadata)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _render_json(metadata: list[tuple[str, str]], columns: Sequence[str], rows) -> str:
@@ -280,18 +278,10 @@ def _cmd_query(args) -> int:
             raise ParamError("error-dil needs N >= 0 and m >= 1")
         result = dilution_fidelity(power_spectrum(state, N), 1 << m)
         record.update(N=N, m=m, error=result.error, fidelity=result.fidelity)
-    elif kind == "profile":
-        prof = profile(state)
-        record.update(
-            entropy_S=prof.entropy_S,
-            variance_V=prof.variance_V,
-            sqrt_V=prof.sqrt_V,
-            loss_scale=prof.loss_scale,
-        )
     else:
-        raise ParamError(f"unknown query kind {kind!r}")
+        record.update(dataclasses.asdict(profile(state)))
 
-    print(_render_record(record, fmt))
+    print(_render_record(record, fmt), end="")
     return 0
 
 
@@ -303,13 +293,13 @@ def _render_record(record: dict[str, object], fmt: str) -> str:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "csv":
-            return ",".join(record) + "\n" + ",".join(map(_format_value, record.values()))
+            return _render_csv([], record, [record.values()])
         # JSON has no NaN or infinity: write those as null.
         finite = {
             k: None if isinstance(v, float) and not math.isfinite(v) else v
             for k, v in record.items()
         }
-        return json.dumps(finite, sort_keys=True)
+        return json.dumps(finite, sort_keys=True) + "\n"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -413,10 +403,8 @@ def _cmd_validate(args) -> int:
         ok = _suite_oracle(args.seed if args.seed is not None else 0)
     elif args.suite == "identities":
         ok = _suite_identities()
-    elif args.suite == "asymptotic":
-        ok = _suite_asymptotic(args.n if args.n is not None else 3000)
     else:
-        raise ParamError(f"unknown suite {args.suite!r}")
+        ok = _suite_asymptotic(args.n if args.n is not None else 3000)
     return 0 if ok else 1
 
 

@@ -22,7 +22,6 @@ from .errors import DimensionTooLargeForOracle, InvalidDimension
 from .spectrum import (
     LeveledSpectrum,
     SchmidtVector,
-    _exp2,
     _require_complete,
     log2_int,
     log2_prefix_sqrt_mass,
@@ -91,8 +90,8 @@ def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
     """
     J = _flatten_boundary(ls, L)
     log2_L = log2_int(L)
-    first = _exp2(log2_prefix_sqrt_mass(ls, J) - 0.5 * log2_L)
-    second = _exp2(0.5 * (log2_int(L - J) - log2_L + log2_tail_mass(ls, J)))
+    first = 2.0 ** (log2_prefix_sqrt_mass(ls, J) - 0.5 * log2_L)
+    second = 2.0 ** (0.5 * (log2_int(L - J) - log2_L + log2_tail_mass(ls, J)))
     fidelity = _clamp_unit(first + second, "concentration fidelity")
     error = _clamp_unit(1.0 - fidelity * fidelity, "concentration error")
     return ConversionResult(fidelity=fidelity, error=error, flatten_index_J=J)

@@ -29,12 +29,10 @@ state with unequal entries: the heaviest levels only, down to the first one
 that passes a given entry count.  For two values the ladder runs from the
 heaviest level down, which is already the sorted order whenever the float
 eigenvalues strictly decrease along it, so no sort is needed; and
-:func:`extend_spectrum` continues the ladder from its last exact count.  A
-partial spectrum holds ``starts``, the log2 eigenvalues and the prefix log2
-mass of its levels, each equal bit for bit to the leading entries of the
-full build, since ``np.logaddexp2.accumulate`` is a running sum.  It
-answers prefix-mass queries up to its built count and raises
-``CountExceedsTotal`` for any other query.
+:func:`extend_spectrum` continues the ladder from its last exact count.
+Its columns (see :class:`LeveledSpectrum`) equal the leading entries of the
+full build bit for bit, since ``np.logaddexp2.accumulate`` is a running
+sum.
 """
 
 from __future__ import annotations
@@ -77,16 +75,6 @@ def log2_int(value: int) -> float:
         return math.log2(value)
     shift = nbits - 53
     return math.log2(value >> shift) + shift
-
-
-def _exp2(x: float) -> float:
-    """2**x as a float, saturating to inf instead of raising on overflow."""
-    if x == NEG_INF:
-        return 0.0
-    try:
-        return math.pow(2.0, x)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -323,7 +311,7 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
             partial = _leading_levels(sv, n, count, None)
             if partial is not None:
                 return partial
-    return _full_spectrum(sv, n, values, sizes)
+    return _full_spectrum(sv, n)
 
 
 def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
@@ -337,10 +325,7 @@ def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
     if ls.complete or count <= ls.total_count:
         return ls
     longer = _leading_levels(ls.base, ls.copies, count, ls)
-    if longer is not None:
-        return longer
-    values, sizes = _distinct_groups(ls.base)
-    return _full_spectrum(ls.base, ls.copies, values, sizes)
+    return power_spectrum(ls.base, ls.copies) if longer is None else longer
 
 
 def _leading_levels(
@@ -398,10 +383,9 @@ def _leading_levels(
     )
 
 
-def _full_spectrum(
-    sv: SchmidtVector, n: int, values: Sequence[float], sizes: Sequence[int]
-) -> LeveledSpectrum:
+def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     """Every level of the n-copy spectrum, with every column."""
+    values, sizes = _distinct_groups(sv)
     # Numerically equal eigenvalues from different exponent vectors are
     # deliberately kept separate: every downstream quantity depends only on
     # the eigenvalue multiset, and the exponent vector gives a deterministic
@@ -508,4 +492,4 @@ def prefix_mass(ls: LeveledSpectrum, count: int) -> float:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return min(1.0, _exp2(log2_prefix_mass(ls, count)))
+    return min(1.0, 2.0 ** log2_prefix_mass(ls, count))

@@ -4,24 +4,32 @@ The minimal concentration-recovery error for n source copies and N <= n
 recovered copies is the minimum over the intermediate EPR count m of the
 concentration error into m pairs plus the dilution error back out of them.
 The dilution term vanishes once 2^m covers the full target spectrum, so m
-is capped at N * ceil(log2 rank) pairs.  Within the cap, the concentration
-term never decreases in m and the dilution term never increases.  So the
-search evaluates the anchor m0 = round(S * N) (S the entropy in bits),
-bisects for the window of m whose terms each stay within delta(m0) plus a
-1e-12 slack, and finds the first minimum over that window by branch and
-bound: on [a, b] no delta is below conc(a) + dil(b), up to the slack, so
-an interval whose bound exceeds the best delta so far is dropped unseen.
-No concentration error below the window is read: at large n those sit at
-the float floor and can fail their range check (p = 0.1, n = 6e4).
+is capped at N * ceil(log2 rank) pairs.
 
-The largest recoverable N for each budget of a grid is searched in
-ascending budget order.  The previous budget's N passes, so it is the lower
-end of the next bracket, which gallops out from the second-order estimate
-``nmax_approx`` plus the previous estimate's offset and is then bisected.
-Budgets of at most 1e-9, far above the rounding noise of the deltas,
-budgets of 1 and states where the estimate is undefined get the cold
-bisection over [1, n] instead, whose probe sequence fixes the result where
-deltas are noise.  Each bisection is ``bisect.bisect_left`` over a
+*The window.*  Within the cap the concentration term never decreases in m
+and the dilution term never increases, and both are >= 0.  So every m with
+delta(m) <= delta(m0), for the anchor m0 = round(S * N) (S the entropy in
+bits), lies between the first m whose dilution error is within delta(m0)
+plus a 1e-12 slack and the last m whose concentration error is.  Both ends
+are bisected.  No concentration error below the window is read: at large n
+those sit at the float floor and can fail their range check (p = 0.1,
+n = 6e4).
+
+*The branch and bound.*  On any [a, b] inside the window every delta is at
+least conc(a) + dil(b).  The search evaluates both ends of an interval,
+drops it when that bound exceeds the best delta so far by more than the
+slack on each term, and splits it at its middle otherwise.  Every m that
+could attain the minimum survives, so the result equals a scan of every m
+up to the cap; comparing (delta, m) sends ties to the smallest m.
+
+*The warm bracket.*  The largest recoverable N for each budget of a grid is
+searched in ascending budget order.  The previous budget's N passes, since
+delta is non-decreasing in N, so it is the lower end of the next bracket,
+which gallops out from the second-order estimate ``nmax_approx`` plus the
+previous estimate's offset, doubling its step, and is then bisected.
+The budgets that :func:`recoverable_points` sends to the cold bisection
+over [1, n] instead skip the gallop: its probe sequence fixes the result
+where deltas are noise.  Each bisection is ``bisect.bisect_left`` over a
 descending ``range``, so it probes upper midpoints.
 
 The concentration term depends only on the n-copy spectrum and 2^m, not on
@@ -83,31 +91,20 @@ def _gmcre(
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
     m_cap = max(1, N * (sv.rank - 1).bit_length())
     m0 = min(max(round(entropy * N), 1), m_cap)
-    # Dilution reads only the top 2^m entries, so below N = n the N-copy
-    # spectrum is built only down to 2^m0, and extended once the window's
-    # largest m is known.  dil reads spec_N when called, so it sees the
-    # extension, which leaves the errors cached before it bit for bit equal.
+    # dil reads spec_N when called, so it sees the extension, which leaves
+    # the errors cached before it bit for bit equal.
     spec_N = spec_n if N == n else power_spectrum(sv, N, 1 << m0)
     dil = cache(lambda m: dilution_fidelity(spec_N, 1 << m).error)
 
-    # conc never decreases in m and dil never increases, and both are >= 0,
-    # so every m with delta(m) <= delta(m0) lies between the first m with
-    # dil <= bound and the last m with conc <= bound.  Inside that window,
-    # on any [a, b], every delta is at least conc(a) + dil(b).  Branch and
-    # bound over the window evaluates both ends of an interval, drops it
-    # when that bound exceeds the best delta so far by more than the slack
-    # on each term, and splits it at its middle otherwise.  In floats this
-    # stays exact while no rounding moves conc down, or dil up, by the
-    # slack between any two m.  Measured for qubits up to n = 3e4:
-    # the largest such move is 9.6e-13 (conc, p = 0.25), and dil never
-    # rises.  Comparing (delta, m) sends ties to the smallest m.  The
-    # intervals wait on a stack: a recursive closure would be a reference
-    # cycle, keeping spec_N alive until the cycle collector runs.
+    # The window and the branch and bound stay exact in floats while no
+    # rounding moves conc down, or dil up, by the slack between any two m.
+    # Measured for qubits up to n = 3e4: the largest such move is 9.6e-13
+    # (conc, p = 0.25), and dil never rises.  The intervals wait on a stack:
+    # a recursive closure would be a reference cycle, keeping spec_N alive
+    # until the cycle collector runs.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     last = m_cap - bisect_left(range(m_cap, m0, -1), True, key=lambda m: conc(m) <= bound)
     spec_N = extend_spectrum(spec_N, 1 << last)
-    # Bisecting for first keeps conc from m far below m0, where it may sit
-    # at the float floor: for p = 0.1 at n = 6e4 it raises for m = 1-399.
     first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
 
     def key(m: int) -> tuple[float, int]:
@@ -135,15 +132,10 @@ def _gmcre(
 def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     """Minimal total error for concentrating n copies and recovering N of them.
 
-    Minimizes over the EPR count m in [1, N * ceil(log2 rank)] without
-    evaluating every m: from the anchor m0 = round(S * N) it bisects for the
-    window of m whose dilution and concentration errors each stay within
-    delta(m0) + 1e-12, then branches and bounds over that window, dropping
-    each interval whose least possible delta, conc at its start plus dil at
-    its end, exceeds the best delta found by more than the slack.  Every m
-    that could attain the minimum lies in the window and no dropped m can,
-    so the result equals a scan of the full range.  Ties go to the smallest
-    m, so results are independent of evaluation order.
+    Minimizes over the EPR count m in [1, N * ceil(log2 rank)], by a branch
+    and bound over a window of m (see the module docstring) whose result
+    equals a scan of that full range.  Ties go to the smallest m, so results
+    are independent of evaluation order.
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
@@ -164,12 +156,10 @@ def recoverable_points(
     """Trade-off point at the largest N in [0, n] within each budget, in grid order.
 
     ``None`` means only N = 0 qualifies: recovering nothing costs nothing.
-    The search relies on the trade-off error being non-decreasing in N.  It
-    visits the budgets in ascending order: each takes the previous budget's
-    N as a lower end that passes, gallops from ``nmax_approx`` plus the
-    previous offset to a bracket, and bisects inside it.  The n-copy
-    spectrum, the points evaluated and their concentration errors are
-    shared across the grid and dropped on return.
+    The search relies on the trade-off error being non-decreasing in N, and
+    brackets each budget from the one below it (see the module docstring).
+    The n-copy spectrum, the points evaluated and their concentration
+    errors are shared across the grid and dropped on return.
 
     Budgets below about 1e-12 sit in rounding noise: deltas that are 0 in
     exact arithmetic come out as noise that is not monotone in N.  Budgets
@@ -199,12 +189,10 @@ def recoverable_points(
         lo, hi = 0, n + 1
         warm = _NOISE_BUDGET < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
         if warm:
-            # Warm: the previous budget's N passes, since delta is
-            # non-decreasing in N.  Gallop from the second-order guess plus
-            # the previous offset, doubling the step; the first probe on the
-            # other side fixes the bracket and sends the next probe out of it.
-            # Without the guess it builds more spectra than the cold search
-            # (fig4 grid, p = 0.077, n = 3000: 175 against 107; 65 with it).
+            # The first probe on the other side fixes the bracket and sends
+            # the next probe out of it.  Without the second-order guess the
+            # gallop builds more spectra than the cold search (fig4 grid,
+            # p = 0.077, n = 3000: 175 against 107; 65 with it).
             approx = int(nmax_approx(sv, n, eps))
             lo, step = N, 1
             probe = min(max(approx + offset, lo + 1), n)

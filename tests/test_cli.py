@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -227,6 +229,18 @@ class TestQuery:
         header, row = capsys.readouterr().out.strip().splitlines()
         assert header.split(",")[0] == "kind"
         assert row.split(",")[0] == "mcre"
+
+    @pytest.mark.parametrize("state", [["--p", "0.1"], ["--schmidt", "0.5,0.3,0.2"]])
+    @pytest.mark.parametrize("kind", cli.QUERY_KINDS)
+    def test_csv_record_is_one_row_under_its_header(self, kind, state, capsys):
+        # Every kind reads the flags it needs and ignores the rest.
+        args = ["query", "--kind", kind, *state, "--n", "6", "--N", "4", "--m", "3", "--eps", "0.3"]
+        assert run(args) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert run([*args, "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["state"] == record["state"]
 
     def test_error_dil_past_the_decimal_digit_limit(self, capsys):
         # 2^20000 has more decimal digits than Python 3.11 converts by default.
