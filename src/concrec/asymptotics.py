@@ -108,15 +108,25 @@ def mcre_limit(sv: SchmidtVector, b_prime: float) -> float:
 def nmax_approx(sv: SchmidtVector, n: int, eps: float) -> float:
     """Second-order approximation of the maximum recoverable copy count:
     n - (2*sqrt(V)/S) * quantile(1 - eps/2) * sqrt(n), not floored."""
-    prof = _positive_variance(sv)
-    if prof.entropy_S <= 0.0:
-        raise DegenerateVariance("approximation needs positive entropy")
+    # No S check: entries lie in (0, 1], so no term of S is negative, and
+    # V > 0 needs an entry below 1, whose term is positive.
+    _positive_variance(sv)
     return n - loss_coefficient(sv, eps) * math.sqrt(n)
 
 
 def loss_coefficient(sv: SchmidtVector, eps: float) -> float:
     """Coefficient of sqrt(n) in the asymptotic copy loss after compression:
     (2*sqrt(V)/S) * quantile(1 - eps/2)."""
+    return profile(sv).loss_scale * _critical_value(eps)
+
+
+def _critical_value(eps: float) -> float:
+    """quantile(1 - eps/2) for 0 < eps < 1.  An eps up to 2^-53 (about
+    1.1e-16) is refused: 1 - eps/2 rounds to 1 there, where the quantile is
+    infinite."""
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"need 0 < eps < 1, got {eps}")
-    return profile(sv).loss_scale * normal_quantile(1.0 - eps / 2.0)
+    u = 1.0 - eps / 2.0
+    if u == 1.0:
+        raise InvalidEpsilon(f"eps = {eps} is too small: 1 - eps/2 rounds to 1")
+    return normal_quantile(u)

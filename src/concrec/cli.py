@@ -7,6 +7,7 @@ be written), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -21,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    _critical_value,
     nmax_approx,
     normal_cdf,
-    normal_quantile,
     profile,
     prop3_limits,
 )
@@ -33,7 +34,7 @@ from .conversion import (
     dense_power_spectrum,
     dilution_fidelity,
 )
-from .errors import InvalidSpec, IoFailure, ParamError
+from .errors import DegenerateVariance, InvalidEpsilon, InvalidSpec, IoFailure, ParamError
 from .spectrum import SchmidtVector, log2_prefix_sqrt_mass, make_schmidt, power_spectrum
 from .tradeoff import delta_curve, generalized_mcre, mcre, recoverable_points
 
@@ -183,7 +184,7 @@ def run_figure(
         return ("epsilon", "N_exact", "N_approx"), rows, metadata
     if figure_id == "fig5":
         metadata.append(("units", "epsilon:1,coefficient:copies_per_sqrt_copy"))
-        rows = [(eps, normal_quantile(1.0 - eps / 2.0)) for eps in epsilon_grid]
+        rows = [(eps, _critical_value(eps)) for eps in epsilon_grid]
         return ("epsilon", "coefficient"), rows, metadata
     raise InvalidSpec(f"unknown figure id {figure_id!r}")
 
@@ -257,8 +258,9 @@ def _cmd_query(args) -> int:
         (point,) = recoverable_points(state, n, [eps])
         n_exact = point.N if point else 0
         record.update(n=n, eps=eps, N_max=n_exact, loss=n - n_exact)
-        prof = profile(state)
-        if prof.variance_V > 0.0 and prof.entropy_S > 0.0 and eps < 1.0:
+        # Left out where the estimate is undefined: V = 0, eps = 1, or an
+        # eps so small that 1 - eps/2 rounds to 1.
+        with contextlib.suppress(DegenerateVariance, InvalidEpsilon):
             record["N_approx"] = nmax_approx(state, n, eps)
         if point:
             record["delta_at_N_max"] = point.delta

@@ -41,13 +41,15 @@ class ConversionResult:
     flatten_index_J: Union[int, None]
 
 
-def _clamp_unit(x: float, what: str) -> float:
-    if -_CLAMP_TOL <= x < 0.0:
-        return 0.0
+def _clamp_unit(x: float) -> float:
+    # The only range check a conversion makes.  The concentration fidelity
+    # x is a sum of two powers of 2.0, so never negative.  The errors need
+    # no check: 1 - F*F with F clamped here, and 1 - mass with the prefix
+    # mass min(1.0, 2.0 ** log2_mass), both lie in [0, 1].
     if 1.0 < x <= 1.0 + _CLAMP_TOL:
         return 1.0
     if not 0.0 <= x <= 1.0:
-        raise ArithmeticError(f"{what} = {x!r} outside [0, 1] beyond tolerance")
+        raise ArithmeticError(f"concentration fidelity = {x!r} outside [0, 1] beyond tolerance")
     return x
 
 
@@ -92,9 +94,8 @@ def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
     log2_L = log2_int(L)
     first = 2.0 ** (log2_prefix_sqrt_mass(ls, J) - 0.5 * log2_L)
     second = 2.0 ** (0.5 * (log2_int(L - J) - log2_L + log2_tail_mass(ls, J)))
-    fidelity = _clamp_unit(first + second, "concentration fidelity")
-    error = _clamp_unit(1.0 - fidelity * fidelity, "concentration error")
-    return ConversionResult(fidelity=fidelity, error=error, flatten_index_J=J)
+    fidelity = _clamp_unit(first + second)
+    return ConversionResult(fidelity=fidelity, error=1.0 - fidelity * fidelity, flatten_index_J=J)
 
 
 def dilution_fidelity(ls_target: LeveledSpectrum, L: int) -> ConversionResult:
@@ -105,7 +106,7 @@ def dilution_fidelity(ls_target: LeveledSpectrum, L: int) -> ConversionResult:
     mass = prefix_mass(ls_target, L)
     return ConversionResult(
         fidelity=math.sqrt(mass),
-        error=_clamp_unit(1.0 - mass, "dilution error"),
+        error=1.0 - mass,
         flatten_index_J=None,
     )
 

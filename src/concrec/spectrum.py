@@ -21,7 +21,9 @@ values, summed along each row: a single float addition rounds a sum of
 one or two terms exactly as ``math.fsum`` does, while three or more terms
 keep ``math.fsum`` per row, since a plain float sum could round twice.
 One ``np.lexsort`` orders the levels by descending eigenvalue, then by
-exponent vector.
+exponent vector.  Every build, full or partial, hands its sorted levels to
+one function, ``_assemble``, which accumulates the mass columns and checks
+the total mass.
 
 A reader of only the top entries, such as dilution from an L-dimensional
 maximally entangled state, may ask for a *partial* spectrum of a rank-2
@@ -84,25 +86,25 @@ class SchmidtVector:
     Attributes
     ----------
     probs : tuple of float
-        Strictly positive probabilities in non-increasing order, summing
-        to 1 within 1e-12.
-    rank : int
-        Number of entries (the Schmidt rank).
+        Probabilities in (0, 1] in non-increasing order, summing to 1
+        within 1e-12.
     """
 
     probs: tuple[float, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        """Number of entries (the Schmidt rank)."""
+        return len(self.probs)
 
     def __post_init__(self) -> None:
-        if self.rank != len(self.probs):
-            raise ValueError("rank must equal the number of entries")
         if not self.probs:
             raise EmptyInput("a Schmidt vector needs at least one entry")
         for a, b in zip(self.probs, self.probs[1:]):
             if b > a:
                 raise ValueError("entries must be non-increasing")
-        if self.probs[-1] <= 0.0:
-            raise ValueError("entries must be strictly positive")
+        if not (self.probs[-1] > 0.0 and self.probs[0] <= 1.0):
+            raise ValueError("entries must lie in (0, 1]")
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
             raise NotNormalized("entries must sum to 1 within 1e-12")
 
@@ -127,7 +129,7 @@ def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
         raise NotNormalized(f"probabilities sum to {total!r}, expected 1 within 1e-9")
     kept = [p / total for p in kept]
     kept.sort(reverse=True)
-    return SchmidtVector(probs=tuple(kept), rank=len(kept))
+    return SchmidtVector(probs=tuple(kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +143,7 @@ class LeveledSpectrum:
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
     sentinel so ``suffix_log2_mass[i]`` is always the mass of levels ``i..``.
+    One function, ``_assemble``, computes these columns for every build.
     Instances are immutable, their array columns sealed read-only on
     construction; every query below is pure and safe to call concurrently.
 
@@ -337,9 +340,8 @@ def _leading_levels(
 
     Level k holds the C(n, k) entries with k factors of the smaller value,
     and the ladder steps C(n, k) = C(n, k - 1) * (n - k + 1) // k exactly.
-    In place of the full build's rank^n count check and total-mass guard,
-    the last count must equal ``math.comb(n, k)`` and the prefix log2 mass
-    must stay within the mass guard of 0.
+    In place of the full build's rank^n count check, the last count must
+    equal ``math.comb(n, k)``.
     """
     if count >= 1 << n:
         return None
@@ -349,12 +351,11 @@ def _leading_levels(
     eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
     if not np.all(eigs[1:] < eigs[:-1]):
         return None
-    if built is None:
-        starts, head, prefix = [0], 0, eigs[:0]
-    else:
+    starts, head, prefix = [0], 0, eigs[:0]
+    if built is not None:
         starts, prefix = list(built.starts), built.prefix_log2_mass
         head = starts[-1] - starts[-2]
-    k0 = k = len(starts) - 1
+    k = len(starts) - 1
     heads = []
     while starts[-1] < count:
         if k > n // 2:
@@ -365,22 +366,7 @@ def _leading_levels(
         k += 1
     if head != math.comb(n, k - 1):
         raise ArithmeticError("ladder count differs from the binomial count")
-    # Seeded with the last built prefix value, the running log-add continues
-    # exactly where the built levels stopped.
-    masses = _log2_counts(heads) + eigs[k0:k]
-    tail = np.logaddexp2.accumulate(np.concatenate((prefix[-1:], masses)))
-    prefix = np.concatenate((prefix[:-1], tail))
-    if prefix[-1] > _MASS_GUARD:
-        raise ArithmeticError("spectrum mass exceeds 1; construction is broken")
-    return LeveledSpectrum(
-        base=sv,
-        copies=n,
-        starts=tuple(starts),
-        log2_eigenvalues=eigs[:k].copy(),
-        prefix_log2_mass=prefix,
-        prefix_log2_sqrt_mass=None,
-        suffix_log2_mass=None,
-    )
+    return _assemble(sv, n, tuple(starts), eigs[:k].copy(), _log2_counts(heads), prefix, False)
 
 
 def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
@@ -393,7 +379,6 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     exps, mults = _type_columns(sizes, n)
     eigs = _log2_eigs(exps, values)
     order = np.lexsort((*exps.T[::-1], -eigs))
-    log2_eigs = eigs[order]
     log2_mults = _log2_counts(mults)[order]
     mults = [mults[i] for i in order.tolist()]
     # Pop each big multiplicity as it is counted, down to the None put under
@@ -403,25 +388,42 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
+    return _assemble(sv, n, starts, eigs[order], log2_mults, eigs[:0], True)
 
-    level_log2_mass = log2_mults + log2_eigs
-    level_log2_sqrt = log2_mults + 0.5 * log2_eigs
 
-    prefix_mass = np.logaddexp2.accumulate(level_log2_mass)
-    prefix_sqrt = np.logaddexp2.accumulate(level_log2_sqrt)
-    suffix = np.empty(len(log2_eigs) + 1, dtype=np.float64)
-    suffix[-1] = NEG_INF
-    suffix[:-1] = np.logaddexp2.accumulate(level_log2_mass[::-1])[::-1]
-    if abs(prefix_mass[-1]) > _MASS_GUARD:
+def _assemble(
+    sv: SchmidtVector,
+    n: int,
+    starts: tuple[int, ...],
+    log2_eigs: np.ndarray,
+    log2_counts: np.ndarray,
+    built: np.ndarray,
+    complete: bool,
+) -> LeveledSpectrum:
+    """The spectrum of sorted levels: ``starts``, their log2 eigenvalues and,
+    for the levels after the ``built`` prefix column (empty unless a partial
+    spectrum is continued), their log2 counts.
+
+    A complete spectrum also gets its square-root prefix and suffix columns.
+    The mass guard refuses a prefix above 1, or a complete total away from
+    1, by more than ``_MASS_GUARD``.
+    """
+    mass = log2_counts + log2_eigs[len(built):]
+    # Seeded with the last built prefix value, the running log-add continues
+    # exactly where the built levels stopped.
+    tail = np.logaddexp2.accumulate(np.concatenate((built[-1:], mass)))
+    prefix = np.concatenate((built[:-1], tail))
+    if (abs(prefix[-1]) if complete else prefix[-1]) > _MASS_GUARD:
         raise ArithmeticError("spectrum mass drifted from 1; construction is broken")
-
+    sqrt = np.logaddexp2.accumulate(log2_counts + 0.5 * log2_eigs) if complete else None
+    suffix = np.append(np.logaddexp2.accumulate(mass[::-1])[::-1], NEG_INF) if complete else None
     return LeveledSpectrum(
         base=sv,
         copies=n,
         starts=starts,
         log2_eigenvalues=log2_eigs,
-        prefix_log2_mass=prefix_mass,
-        prefix_log2_sqrt_mass=prefix_sqrt,
+        prefix_log2_mass=prefix,
+        prefix_log2_sqrt_mass=sqrt,
         suffix_log2_mass=suffix,
     )
 

@@ -4,9 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concrec import (
     K,
+    SchmidtVector,
     loss_coefficient,
     make_schmidt,
     mcre_limit,
@@ -266,3 +269,32 @@ class TestLossCoefficient:
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidEpsilon):
             loss_coefficient(QUBIT, 1.0)
+        # 1 - eps/2 rounds to 1 up to eps = 2^-53; just above, it does not.
+        for eps in (1e-17, 2.0**-53):
+            with pytest.raises(InvalidEpsilon, match=f"eps = {eps!r}"):
+                loss_coefficient(QUBIT, eps)
+        assert math.isfinite(loss_coefficient(QUBIT, 2.3e-16))
+
+
+# States of rank 1 to 5 from small integer weights, so ties are common, and
+# rank-1 vectors built directly with an entry within the sum's tolerance of 1.
+_STATES = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=5).map(
+        lambda w: make_schmidt([x / sum(w) for x in w])
+    ),
+    st.floats(1.0 - 1e-12, 1.0).map(lambda p: SchmidtVector(probs=(p,))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STATES)
+def test_positive_variance_implies_positive_entropy(sv):
+    prof = profile(sv)
+    if prof.variance_V > 0.0:
+        assert prof.entropy_S > 0.0, sv
+    try:
+        nmax_approx(sv, 100, 0.1)
+    except DegenerateVariance:
+        assert prof.variance_V == 0.0, sv
+    else:
+        assert prof.variance_V != 0.0, sv

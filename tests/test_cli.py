@@ -15,6 +15,7 @@ import pytest
 import concrec
 from concrec import cli, concentration_fidelity, make_schmidt, spectrum, tradeoff
 from concrec.cli import main
+from concrec.errors import InvalidSpec
 
 
 def run(args):
@@ -163,9 +164,30 @@ class TestFig:
         out = tmp_path / "missing-dir" / "fig5.csv"
         assert run(["fig", "--id", "5", "--eps-grid", "0.5", "--out", str(out)]) == 1
 
-    def test_bad_epsilon(self, tmp_path):
+    def test_bad_epsilon(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run(["fig", "--id", "5", "--eps-grid", "0.0,0.5", "--out", str(out)]) == 2
+        assert run(["fig", "--id", "5", "--eps-grid", "0.5,x", "--out", str(out)]) == 2
+        assert "cannot parse epsilon list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fig_id", ["4", "5"])
+    def test_tiny_epsilon_is_refused_by_name(self, fig_id, tmp_path, capsys):
+        # 1 - eps/2 rounds to 1 for eps up to 2^-53: the quantile is undefined.
+        out = tmp_path / "x.csv"
+        args = ["fig", "--id", fig_id, "--n", "20", "--eps-grid", "0.1,1e-17", "--out", str(out)]
+        assert run(args) == 2
+        assert "eps = 1e-17" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_row_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["fig", "--id", "3", "--b-grid", "0,inf", "--out", str(out)]) == 2
+        assert "non-finite value inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_figure_id(self):
+        with pytest.raises(InvalidSpec, match="fig6"):
+            cli.run_figure("fig6", make_schmidt([0.9, 0.1]), 10, 2, (), ())
 
     def test_conflicting_state_flags(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -212,6 +234,16 @@ class TestQuery:
         record = json.loads(capsys.readouterr().out)
         assert 0 <= record["N_max"] <= 40
         assert record["loss"] == 40 - record["N_max"]
+
+    def test_nmax_at_tiny_epsilon_omits_N_approx(self, capsys):
+        # N_max is exact and defined; the estimate needs 1 - eps/2 < 1.
+        args = ["query", "--kind", "nmax", "--p", "0.1", "--n", "10", "--eps", "1e-17"]
+        assert run(args) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert "N_approx" not in record
+        assert record["N_max"] == tradeoff.max_recoverable(make_schmidt([0.9, 0.1]), 10, 1e-17)
+        assert run([*args[:-1], "2.3e-16"]) == 0
+        assert "N_approx" in json.loads(capsys.readouterr().out)
 
     def test_rank_one_json_record_writes_null(self, capsys):
         def refuse(name):
@@ -277,6 +309,14 @@ class TestQuery:
 
     def test_invalid_range_exits_2(self, capsys):
         assert run(["query", "--kind", "gmcre", "--p", "0.1", "--n", "2", "--N", "5"]) == 2
+        for args in (
+            ["error-conc", "--n", "-1", "--m", "1"],
+            ["error-conc", "--n", "2", "--m", "0"],
+            ["error-dil", "--N", "-1", "--m", "1"],
+            ["error-dil", "--N", "2", "--m", "0"],
+        ):
+            assert run(["query", "--p", "0.1", "--kind", *args]) == 2
+            assert "needs" in capsys.readouterr().err
 
     def test_failed_numerical_check_exits_1_without_traceback(self, monkeypatch, capsys):
         # A numerical check that fails (here a fidelity outside [0, 1]) is
@@ -358,10 +398,13 @@ class TestConfig:
         assert run(["query", "--kind", "profile", "--p", "0.1", "--config", str(cfg)]) == 2
         assert "unknown format" in capsys.readouterr().err
 
-    def test_malformed_config(self, tmp_path):
+    def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not key value\n")
         assert run(["query", "--kind", "profile", "--p", "0.1", "--config", str(cfg)]) == 2
+        missing = str(tmp_path / "missing.cfg")
+        assert run(["query", "--kind", "profile", "--p", "0.1", "--config", missing]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
     def test_bad_config_value(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

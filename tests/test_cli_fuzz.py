@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from concrec.cli import QUERY_KINDS, main
 
 _NUMBERS = st.one_of(
-    st.sampled_from(["0", "1", "-1", "1e-320", "0.5", "nan", "inf"]),
+    st.sampled_from(["0", "1", "-1", "1e-320", "1e-17", "2.3e-16", "0.5", "nan", "inf"]),
     st.floats(min_value=0.0, max_value=1.0).map(repr),
 )
 # Copy counts stay small, so every example runs in well under a second;

@@ -12,6 +12,7 @@ from concrec import (
 )
 from concrec.conversion import _flatten_boundary
 from concrec.errors import DimensionTooLargeForOracle, InvalidDimension
+from concrec.spectrum import NEG_INF, LeveledSpectrum
 
 from _oracles import (
     dense_concentration_error,
@@ -32,6 +33,10 @@ class TestFlattenIndex:
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 1)
         with pytest.raises(InvalidDimension):
             _flatten_boundary(ls, 0)
+        with pytest.raises(InvalidDimension):
+            dilution_fidelity(ls, 0)
+        with pytest.raises(InvalidDimension):
+            brute_force_fidelity([0.9, 0.1], 0)
 
     @pytest.mark.parametrize("probs", [[0.9, 0.1], [0.75, 0.25]])
     def test_matches_dense_scan_qubit(self, probs):
@@ -131,6 +136,25 @@ class TestConcentration:
             r = concentration_fidelity(power_spectrum(make_schmidt(probs), 3), L)
             assert abs(r.error - (1.0 - r.fidelity**2)) <= 1e-12
             assert 0 <= r.flatten_index_J < L
+
+    def test_fidelity_past_the_clamp_is_refused(self):
+        # One level of two entries holding mass 1 + 1e-9, built as
+        # _oracles.reference_power_spectrum builds a spectrum.  Into L = 1
+        # everything is flattened: F = sqrt(1 + 1e-9), past the 1e-12 clamp.
+        log2_eigs = np.array([math.log2(0.5 * (1.0 + 1e-9))])
+        log2_mults = np.array([1.0])
+        level_log2_mass = log2_mults + log2_eigs
+        ls = LeveledSpectrum(
+            base=make_schmidt([0.5, 0.5]),
+            copies=1,
+            starts=(0, 2),
+            log2_eigenvalues=log2_eigs,
+            prefix_log2_mass=np.logaddexp2.accumulate(level_log2_mass),
+            prefix_log2_sqrt_mass=np.logaddexp2.accumulate(log2_mults + 0.5 * log2_eigs),
+            suffix_log2_mass=np.append(level_log2_mass, NEG_INF),
+        )
+        with pytest.raises(ArithmeticError, match="concentration fidelity = 1.000000000.* outside"):
+            concentration_fidelity(ls, 1)
 
     def test_rank_one_state(self):
         result = concentration_fidelity(power_spectrum(make_schmidt([1.0]), 5), 4)

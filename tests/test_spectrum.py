@@ -115,6 +115,8 @@ class TestPowerSpectrum:
         for probs in ([1.0], [0.5, 0.5], [0.9, 0.1], [0.6, 0.3, 0.1], [0.4, 0.3, 0.2, 0.1]):
             eig = power_spectrum(make_schmidt(probs), 0).log2_eigenvalues[0]
             assert math.copysign(1.0, eig) == 1.0, probs
+        with pytest.raises(ValueError, match="non-negative"):
+            power_spectrum(make_schmidt([0.9, 0.1]), -1)
 
     def test_repeated_probabilities_grouped(self):
         # (0.5, 0.25, 0.25) has two distinct values; levels follow the
@@ -231,6 +233,8 @@ class TestPrefixQueries:
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 1)
         with pytest.raises(ValueError):
             prefix_mass(ls, -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            log2_prefix_sqrt_mass(ls, -1)
 
     def test_prefix_sqrt_examples(self):
         sv = make_schmidt([0.9, 0.1])
@@ -555,8 +559,13 @@ def test_concurrent_queries_match_serial():
 
 def test_schmidt_vector_invariants_enforced():
     with pytest.raises(ValueError):
-        SchmidtVector(probs=(0.1, 0.9), rank=2)  # not sorted
+        SchmidtVector(probs=(0.1, 0.9))  # not sorted
     with pytest.raises(NotNormalized):
-        SchmidtVector(probs=(0.5, 0.4), rank=2)
-    with pytest.raises(ValueError):
-        SchmidtVector(probs=(0.9, 0.1), rank=3)
+        SchmidtVector(probs=(0.5, 0.4))
+    with pytest.raises(EmptyInput):
+        SchmidtVector(probs=())
+    with pytest.raises(ValueError, match="in \\(0, 1\\]"):
+        SchmidtVector(probs=(1.0, 0.0))
+    # Within the sum's tolerance, yet no probability: its entropy is negative.
+    with pytest.raises(ValueError, match="in \\(0, 1\\]"):
+        SchmidtVector(probs=(1.0 + 5e-13,))
