@@ -22,7 +22,7 @@ from .errors import DimensionTooLargeForOracle, InvalidDimension
 from .spectrum import (
     LeveledSpectrum,
     SchmidtVector,
-    _require_complete,
+    _require_reach,
     log2_int,
     log2_prefix_sqrt_mass,
     log2_tail_mass,
@@ -64,7 +64,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     """
     if L < 1:
         raise InvalidDimension(f"target dimension must be >= 1, got {L}")
-    _require_complete(ls, "the flatten cut")
+    _require_reach(ls, L, ls.suffix_log2_mass, "the flatten cut")
     starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues

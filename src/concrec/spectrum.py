@@ -35,15 +35,36 @@ eigenvalues strictly decrease along it, so no sort is needed; and
 Its columns (see :class:`LeveledSpectrum`) equal the leading entries of the
 full build bit for bit, since ``np.logaddexp2.accumulate`` is a running
 sum.
+
+The trade-off search reads the n-copy spectrum of such a state only near its
+typical set, so it asks for the *head*: the same ladder from the heaviest
+level, with every column, stopped past the mass peak.  The level masses M_k
+change by the ratio r_k = (n - k + 1) / k * (b / a) for entries a > b, which
+falls in k, so past the peak (r_k < 1) the levels from k on hold at most
+M_{k-1} r_k / (1 - r_k).  The ladder stops at the first k where that bound
+lies ``_HEAD_CUT`` = 160 bits below the heaviest level's mass.  The prefix
+columns equal the full build's on every built level, since they run from
+level 0; the suffix is accumulated over the built levels only, so it misses
+the dropped tail.  A *guard* keeps the levels above the deepest one whose
+suffix still lies ``_HEAD_GUARD`` = 100 bits above the bound: there the
+dropped mass is far below the last bit of the running sum, and the two
+accumulations agree from that level up.  The head answers every count up to
+the start of that level, its ``total_count``, and raises
+``CountExceedsTotal`` past it.  A cut of 60 bits was not enough: the head's
+suffix then differed from the full build's 16 to 78 levels past the peak
+for n <= 1e4, inside the window that concentration reads.  The full
+spectrum is built instead where a partial one would be, where the ladder
+would pass n // 2 levels, and where the suffix at the guard level lies above
+-1 (see ``_assemble``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +83,13 @@ BUILD_BUDGET_BYTES = 2 << 30
 
 _RENORM_TOL = 1e-9
 _MASS_GUARD = 1e-6
+
+# The head's cut and guard, in bits (see the module docstring).
+_HEAD_CUT = 160
+_HEAD_GUARD = 100
+
+# The count that asks power_spectrum for the head.
+_HEAD = object()
 
 
 def log2_int(value: int) -> float:
@@ -103,7 +131,7 @@ class SchmidtVector:
         for a, b in zip(self.probs, self.probs[1:]):
             if b > a:
                 raise ValueError("entries must be non-increasing")
-        if not (self.probs[-1] > 0.0 and self.probs[0] <= 1.0):
+        if not all(0.0 < p <= 1.0 for p in self.probs):  # also rejects NaN
             raise ValueError("entries must lie in (0, 1]")
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
             raise NotNormalized("entries must sum to 1 within 1e-12")
@@ -147,13 +175,18 @@ class LeveledSpectrum:
     Instances are immutable, their array columns sealed read-only on
     construction; every query below is pure and safe to call concurrently.
 
-    A *partial* spectrum (``complete`` is False) holds only the heaviest
-    levels: their ``starts``, ``log2_eigenvalues`` and ``prefix_log2_mass``,
-    with ``None`` for the square-root and suffix columns, so its
-    ``total_count`` is the number of entries those levels hold.  It answers
-    ``log2_prefix_mass`` and ``prefix_mass`` (and so dilution) up to
-    ``total_count``.  A larger count, and every other query, raises
-    ``CountExceedsTotal``.
+    A *partial* spectrum holds only the heaviest levels: their ``starts``,
+    ``log2_eigenvalues`` and ``prefix_log2_mass``, with ``None`` for the
+    square-root and suffix columns, so its ``total_count`` is the number of
+    entries those levels hold.  It answers ``log2_prefix_mass`` and
+    ``prefix_mass`` (and so dilution) up to ``total_count``.  A larger count,
+    and every other query, raises ``CountExceedsTotal``.
+
+    A *head* (see the module docstring) has every column, and its last
+    suffix entry is the mass of the levels it leaves out rather than the
+    ``-inf`` sentinel.  It answers every query up to ``total_count`` and
+    raises ``CountExceedsTotal`` past it.  Only a spectrum with every level
+    is ``complete``.
     """
 
     base: SchmidtVector
@@ -179,15 +212,18 @@ class LeveledSpectrum:
 
     @property
     def complete(self) -> bool:
-        return self.suffix_log2_mass is not None
+        return self.suffix_log2_mass is not None and bool(self.suffix_log2_mass[-1] == NEG_INF)
 
 
-def _require_complete(ls: LeveledSpectrum, query: str) -> None:
-    """Raise ``CountExceedsTotal`` when ``ls`` is partial: ``query`` reads
-    past its built levels."""
-    if not ls.complete:
+def _require_reach(
+    ls: LeveledSpectrum, count: int, column: Optional[np.ndarray], query: str
+) -> None:
+    """Raise ``CountExceedsTotal`` unless ``ls`` answers ``query``, a read of
+    ``column`` at ``count``: the column must be built, and only a complete
+    spectrum answers counts past its total."""
+    if column is None or (count > ls.total_count and not ls.complete):
         raise CountExceedsTotal(
-            f"{query} reads past the {ls.num_levels} levels of a partial spectrum"
+            f"{query} reads past the {ls.num_levels} built levels of the spectrum"
         )
 
 
@@ -250,11 +286,6 @@ def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(blocks), mults
 
 
-def _log2_counts(counts: Iterable[int]) -> np.ndarray:
-    """log2_int of each count."""
-    return np.fromiter(map(log2_int, counts), dtype=np.float64)
-
-
 def _build_bytes(levels: int, n: int, rank: int) -> float:
     """Estimated build peak: about 180 B per level plus its n*log2(rank)-bit count."""
     return levels * (180 + n * math.log2(rank) / 8)
@@ -290,7 +321,8 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
     The full spectrum is built instead when ``count`` reaches ``2**n``, when
     those levels pass the first half of the ladder (n // 2 + 1 levels, the
     half the full build runs), or when the float eigenvalues do not strictly
-    decrease down the ladder (p within rounding of 1/2).
+    decrease down the ladder (p within rounding of 1/2).  The private count
+    ``_HEAD`` asks for the head (see the module docstring) in the same cases.
 
     Raises
     ------
@@ -308,7 +340,7 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
             f"{need / 2**30:.1f} GiB to build, over the {BUILD_BUDGET_BYTES >> 30} GiB budget"
         )
     if count is not None:
-        if count < 1:
+        if count is not _HEAD and count < 1:
             raise ValueError("count must be positive")
         if sizes == [1, 1]:
             partial = _leading_levels(sv, n, count, None)
@@ -336,14 +368,17 @@ def _leading_levels(
 ) -> Optional[LeveledSpectrum]:
     """Partial n-copy spectrum of a rank-2 state with unequal entries that
     holds at least ``count`` entries, from level 0 or continuing the partial
-    spectrum ``built``; None where :func:`power_spectrum` builds in full.
+    spectrum ``built``, or its head for ``count`` ``_HEAD``; None where
+    :func:`power_spectrum` builds in full.
 
     Level k holds the C(n, k) entries with k factors of the smaller value,
     and the ladder steps C(n, k) = C(n, k - 1) * (n - k + 1) // k exactly.
-    In place of the full build's rank^n count check, the last count must
-    equal ``math.comb(n, k)``.
+    The head's cut reads the level masses as the ladder makes them (see
+    the module docstring).  In place of the full build's rank^n count check,
+    the last count must equal ``math.comb(n, k)``.
     """
-    if count >= 1 << n:
+    head = count is _HEAD
+    if not head and count >= 1 << n:
         return None
     # The eigenvalues of every level, so that the ladder order is known to
     # be the order the full build sorts them into, not only along the prefix.
@@ -351,22 +386,35 @@ def _leading_levels(
     eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
     if not np.all(eigs[1:] < eigs[:-1]):
         return None
-    starts, head, prefix = [0], 0, eigs[:0]
+    starts, prefix = [0], eigs[:0]
     if built is not None:
         starts, prefix = list(built.starts), built.prefix_log2_mass
-        head = starts[-1] - starts[-2]
     k = len(starts) - 1
-    heads = []
-    while starts[-1] < count:
+    mult = starts[-1] - starts[-2] if k else 0
+    # log2 of each count as it is made, so that no count is held twice.
+    logs: list[float] = []
+    peak, tail = NEG_INF, None
+    if head:
+        level_eigs, ratio = eigs.tolist(), sv.probs[1] / sv.probs[0]
+    while head or starts[-1] < count:
+        if head and k:
+            r = (n - k + 1) / k * ratio
+            mass = logs[-1] + level_eigs[k - 1]
+            peak = max(peak, mass)
+            if 0.0 < r < 1.0:  # r = 0 only past level n, at n = 0
+                tail = mass + math.log2(r / (1.0 - r))
+                if tail <= peak - _HEAD_CUT:
+                    break
         if k > n // 2:
             return None
-        head = head * (n - k + 1) // k if k else 1
-        heads.append(head)
-        starts.append(starts[-1] + head)
+        mult = mult * (n - k + 1) // k if k else 1
+        logs.append(log2_int(mult))
+        starts.append(starts[-1] + mult)
         k += 1
-    if head != math.comb(n, k - 1):
+    if mult != math.comb(n, k - 1):
         raise ArithmeticError("ladder count differs from the binomial count")
-    return _assemble(sv, n, tuple(starts), eigs[:k].copy(), _log2_counts(heads), prefix, False)
+    log2_counts = np.array(logs, dtype=np.float64)
+    return _assemble(sv, n, tuple(starts), eigs[:k].copy(), log2_counts, prefix, tail)
 
 
 def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
@@ -379,7 +427,7 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     exps, mults = _type_columns(sizes, n)
     eigs = _log2_eigs(exps, values)
     order = np.lexsort((*exps.T[::-1], -eigs))
-    log2_mults = _log2_counts(mults)[order]
+    log2_mults = np.fromiter(map(log2_int, mults), dtype=np.float64)[order]
     mults = [mults[i] for i in order.tolist()]
     # Pop each big multiplicity as it is counted, down to the None put under
     # them, so the spectrum's big integers are never held twice.
@@ -388,7 +436,7 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
-    return _assemble(sv, n, starts, eigs[order], log2_mults, eigs[:0], True)
+    return _assemble(sv, n, starts, eigs[order], log2_mults, eigs[:0], NEG_INF)
 
 
 def _assemble(
@@ -398,33 +446,50 @@ def _assemble(
     log2_eigs: np.ndarray,
     log2_counts: np.ndarray,
     built: np.ndarray,
-    complete: bool,
-) -> LeveledSpectrum:
+    tail: Optional[float],
+) -> Optional[LeveledSpectrum]:
     """The spectrum of sorted levels: ``starts``, their log2 eigenvalues and,
     for the levels after the ``built`` prefix column (empty unless a partial
     spectrum is continued), their log2 counts.
 
-    A complete spectrum also gets its square-root prefix and suffix columns.
-    The mass guard refuses a prefix above 1, or a complete total away from
-    1, by more than ``_MASS_GUARD``.
+    ``tail`` is None for a partial spectrum, which gets the prefix column
+    only.  Otherwise it bounds the log2 mass of the levels left out: -inf
+    for the full build, finite for a head.  Both get the square-root prefix
+    and suffix columns, and a head keeps only the levels its guard admits,
+    or is None where the suffix at the guard level lies above -1.  Near 0
+    the float spacing shrinks without bound, so there a dropped tail of any
+    size can move the last bit (p = 1e-300 at n = 3000).  The mass guard
+    refuses a partial prefix above 1, or any other total away from 1, by
+    more than ``_MASS_GUARD``, and refuses a NaN total.
     """
     mass = log2_counts + log2_eigs[len(built):]
     # Seeded with the last built prefix value, the running log-add continues
     # exactly where the built levels stopped.
-    tail = np.logaddexp2.accumulate(np.concatenate((built[-1:], mass)))
-    prefix = np.concatenate((built[:-1], tail))
-    if (abs(prefix[-1]) if complete else prefix[-1]) > _MASS_GUARD:
+    acc = np.logaddexp2.accumulate(np.concatenate((built[-1:], mass)))
+    prefix = np.concatenate((built[:-1], acc))
+    if not (prefix[-1] if tail is None else abs(prefix[-1])) <= _MASS_GUARD:
         raise ArithmeticError("spectrum mass drifted from 1; construction is broken")
-    sqrt = np.logaddexp2.accumulate(log2_counts + 0.5 * log2_eigs) if complete else None
-    suffix = np.append(np.logaddexp2.accumulate(mass[::-1])[::-1], NEG_INF) if complete else None
+    if tail is None:
+        return LeveledSpectrum(sv, n, starts, log2_eigs, prefix, None, None)
+    sqrt = np.logaddexp2.accumulate(log2_counts + 0.5 * log2_eigs)
+    suffix = np.append(np.logaddexp2.accumulate(mass[::-1])[::-1], NEG_INF)
+    # The levels above the deepest whose suffix lies _HEAD_GUARD bits above
+    # the bound, found by bisection, since a running log-add never falls.
+    # A full build keeps every level: its suffix ends at -inf, which the
+    # bound -inf + _HEAD_GUARD admits.  Level 0 of a head passes, since the
+    # cut puts the bound _HEAD_CUT bits below the heaviest level.
+    floor = tail + _HEAD_GUARD
+    k = bisect_left(range(len(suffix)), True, key=lambda i: float(suffix[i]) < floor) - 1
+    if suffix[k] > -1.0:
+        return None
     return LeveledSpectrum(
         base=sv,
         copies=n,
-        starts=starts,
-        log2_eigenvalues=log2_eigs,
-        prefix_log2_mass=prefix,
-        prefix_log2_sqrt_mass=sqrt,
-        suffix_log2_mass=suffix,
+        starts=starts[: k + 1],
+        log2_eigenvalues=log2_eigs[:k],
+        prefix_log2_mass=prefix[:k],
+        prefix_log2_sqrt_mass=sqrt[:k],
+        suffix_log2_mass=suffix[: k + 1],
     )
 
 
@@ -460,7 +525,7 @@ def log2_prefix_mass(ls: LeveledSpectrum, count: int) -> float:
     if count <= 0:
         return NEG_INF
     if count > ls.total_count:
-        _require_complete(ls, "a prefix beyond the built entries")
+        _require_reach(ls, count, ls.prefix_log2_mass, "a prefix beyond the built entries")
         count = ls.total_count
     return _log2_split(ls, count, ls.prefix_log2_mass, 1.0, False)
 
@@ -469,10 +534,9 @@ def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the sum of sqrt(eigenvalue) over the top ``count`` entries."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    _require_complete(ls, "the square-root mass")
-    if count > ls.total_count:
+    if ls.prefix_log2_sqrt_mass is None or count > ls.total_count:
         raise CountExceedsTotal(
-            f"count exceeds the total count, of {ls.total_count.bit_length()} bits"
+            f"the square-root mass reads past the {ls.num_levels} built levels of the spectrum"
         )
     if count == 0:
         return NEG_INF
@@ -481,7 +545,7 @@ def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
 
 def log2_tail_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the eigenvalue mass strictly after the top ``count`` entries."""
-    _require_complete(ls, "the tail mass")
+    _require_reach(ls, count, ls.suffix_log2_mass, "the tail mass")
     count = min(max(count, 0), ls.total_count)
     return _log2_split(ls, count, ls.suffix_log2_mass, 1.0, True)
 

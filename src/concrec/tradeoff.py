@@ -42,6 +42,16 @@ reads its top 2^m entries.  So it is built as a partial spectrum (see
 ``concrec.spectrum``) down to 2^m0, the window's upper end is bisected on
 concentration errors alone, and the spectrum is extended once, down to 2^m
 for that end, before the dilution bisection and the branch and bound.
+
+*The head.*  The n-copy spectrum is built as a head (see
+``concrec.spectrum``): only its levels near and above the typical set, with
+every column, exact up to its ``total_count``.  The window's upper end lies
+within it: the search reads conc(m_hi), for 2^m_hi the largest power of two
+the head answers, and once that lies above the bound it bisects the upper end
+over (m0, m_hi] only.  Everything the search reads then lies within the
+head.  Where the check fails, or the head does not reach 2^m0, the
+concentration errors read the full spectrum instead, built once on the first
+read past the head, and give the same result.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .asymptotics import nmax_approx, profile
 from .conversion import concentration_fidelity, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
-from .spectrum import LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
+from .spectrum import _HEAD, LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
 
 
 @dataclass(frozen=True)
@@ -79,8 +89,19 @@ _NOISE_BUDGET = 1e-9
 
 
 def _conc_errors(spec_n: LeveledSpectrum) -> Callable[[int], float]:
-    """The concentration error of ``spec_n`` into 2^m, as a cached function of m."""
-    return cache(lambda m: concentration_fidelity(spec_n, 1 << m).error)
+    """The concentration error of ``spec_n`` into 2^m, as a cached function of m.
+
+    The first read past a head builds the full spectrum, which then serves
+    every later read.
+    """
+
+    def error(m: int) -> float:
+        nonlocal spec_n
+        if not spec_n.complete and 1 << m > spec_n.total_count:
+            spec_n = power_spectrum(spec_n.base, spec_n.copies)
+        return concentration_fidelity(spec_n, 1 << m).error
+
+    return cache(error)
 
 
 def _gmcre(
@@ -93,7 +114,7 @@ def _gmcre(
     m0 = min(max(round(entropy * N), 1), m_cap)
     # dil reads spec_N when called, so it sees the extension, which leaves
     # the errors cached before it bit for bit equal.
-    spec_N = spec_n if N == n else power_spectrum(sv, N, 1 << m0)
+    spec_N = extend_spectrum(spec_n, 1 << m0) if N == n else power_spectrum(sv, N, 1 << m0)
     dil = cache(lambda m: dilution_fidelity(spec_N, 1 << m).error)
 
     # The window and the branch and bound stay exact in floats while no
@@ -103,7 +124,12 @@ def _gmcre(
     # a recursive closure would be a reference cycle, keeping spec_N alive
     # until the cycle collector runs.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
-    last = m_cap - bisect_left(range(m_cap, m0, -1), True, key=lambda m: conc(m) <= bound)
+    hi = m_cap
+    if not spec_n.complete:  # a head: see the module docstring
+        m_hi = spec_n.total_count.bit_length() - 1
+        if m0 < m_hi < m_cap and conc(m_hi) > bound:
+            hi = m_hi
+    last = hi - bisect_left(range(hi, m0, -1), True, key=lambda m: conc(m) <= bound)
     spec_N = extend_spectrum(spec_N, 1 << last)
     first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
 
@@ -139,7 +165,7 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     """
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
-    spec_n = power_spectrum(sv, n)
+    spec_n = power_spectrum(sv, n, _HEAD)
     return _gmcre(spec_n, N, profile(sv).entropy_S, _conc_errors(spec_n))
 
 
@@ -174,7 +200,7 @@ def recoverable_points(
     for eps in eps_grid:
         if not 0.0 < eps <= 1.0:
             raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
-    spec_n = power_spectrum(sv, n)
+    spec_n = power_spectrum(sv, n, _HEAD)
     prof = profile(sv)
     conc = _conc_errors(spec_n)
     point = cache(lambda N: _gmcre(spec_n, N, prof.entropy_S, conc))

@@ -90,6 +90,13 @@ class TestFig:
                 "60",
                 "0db4696cb0b10df6826acb48d42a796776ad8dbe4960bfd1033f78cfe140eda4",
             ),
+            (
+                # optimal_m 28,107; the full spectrum's exact counts alone
+                # take over 400 MB here, the head's 16 MB.
+                ["--p", "0.1"],
+                "60000",
+                "77af0eb626efb60dc701261948cf298fed18a9c3760c1281e99710c2e12397b5",
+            ),
         ],
     )
     def test_mcre_record_is_pinned(self, state, n, digest, capsys):

@@ -29,7 +29,7 @@ from concrec.errors import (
     NotNormalized,
     RankTooLargeForN,
 )
-from concrec.spectrum import _build_bytes
+from concrec.spectrum import _HEAD, NEG_INF, _assemble, _build_bytes
 
 from _oracles import dense_power_spectrum, reference_power_spectrum
 
@@ -419,6 +419,63 @@ def test_partial_build_equals_the_full_builds_head(case):
                 query()
 
 
+@st.composite
+def head_cases(draw):
+    """A qubit with p in (0, 1/2), values within 1e-13 of 1/2 included, and
+    a copy count n <= 3000."""
+    p = draw(st.one_of(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+                       st.floats(0.5 - 1e-13, 0.5, exclude_max=True)))
+    return make_schmidt([p, 1.0 - p]), draw(st.integers(0, 3000))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(head_cases())
+@example((make_schmidt([0.1, 0.9]), 3000))
+@example((make_schmidt([0.25, 0.75]), 3000))
+@example((make_schmidt([0.4, 0.6]), 3000))  # passes n // 2 levels: full
+@example((make_schmidt([0.5 - 1e-14, 0.5 + 1e-14]), 3000))  # ladder not decreasing
+@example((make_schmidt([1e-300, 1.0 - 1e-300]), 3000))  # level 0 holds all the mass: full
+def test_head_equals_the_full_build_where_it_answers(case):
+    sv, n = case
+    full = power_spectrum(sv, n)
+    head = power_spectrum(sv, n, _HEAD)
+    k = head.num_levels
+    assert head.starts == full.starts[: k + 1]
+    for column in ("log2_eigenvalues", "prefix_log2_mass", "prefix_log2_sqrt_mass"):
+        assert getattr(head, column).tobytes() == getattr(full, column)[:k].tobytes(), column
+    assert head.suffix_log2_mass.tobytes() == full.suffix_log2_mass[: k + 1].tobytes()
+    if head.complete:
+        assert k == full.num_levels
+        return
+    assert k <= n // 2 + 1
+    total = head.total_count
+    for count in {0, 1, total // 3, total // 2, max(total - 1, 0), total}:
+        assert log2_tail_mass(head, count) == log2_tail_mass(full, count)
+        assert log2_prefix_sqrt_mass(head, count) == log2_prefix_sqrt_mass(full, count)
+        assert prefix_mass(head, count) == prefix_mass(full, count)
+        if count:
+            assert concentration_fidelity(head, count) == concentration_fidelity(full, count)
+    past = total + 1
+    for query in (
+        lambda: log2_prefix_mass(head, past),
+        lambda: dilution_fidelity(head, past),
+        lambda: log2_tail_mass(head, past),
+        lambda: log2_prefix_sqrt_mass(head, past),
+        lambda: concentration_fidelity(head, past),
+    ):
+        with pytest.raises(CountExceedsTotal):
+            query()
+
+
+def test_heads_are_short_past_the_typical_set():
+    # p = 0.1 at n = 3000: 461 of 3,001 levels, and 2^1849 of 2^3000 entries,
+    # where the typical set holds about 2^1407.
+    head = power_spectrum(make_schmidt([0.1, 0.9]), 3000, _HEAD)
+    assert not head.complete
+    assert head.num_levels < 500
+    assert 1407 < head.total_count.bit_length() < 2000
+
+
 @pytest.fixture(scope="module")
 def qubit_15000():
     """A complete spectrum whose 2^15000 entries take 4,516 decimal digits,
@@ -569,3 +626,14 @@ def test_schmidt_vector_invariants_enforced():
     # Within the sum's tolerance, yet no probability: its entropy is negative.
     with pytest.raises(ValueError, match="in \\(0, 1\\]"):
         SchmidtVector(probs=(1.0 + 5e-13,))
+    # NaN fails every comparison, so it would pass the order and sum checks.
+    with pytest.raises(ValueError, match="in \\(0, 1\\]"):
+        SchmidtVector(probs=(0.6, float("nan"), 0.4))
+
+
+@pytest.mark.parametrize("tail", [None, NEG_INF, -200.0], ids=["partial", "full", "head"])
+def test_mass_guard_refuses_a_nan_total(tail):
+    sv = make_schmidt([0.9, 0.1])
+    eigs = np.array([math.log2(0.9), math.log2(0.1)])
+    with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="mass"):
+        _assemble(sv, 1, (0, 1, 2), eigs, np.array([0.0, np.nan]), eigs[:0], tail)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import math
@@ -26,6 +27,7 @@ from concrec import (
 from concrec.asymptotics import profile
 from concrec.conversion import concentration_fidelity, dilution_fidelity
 from concrec.errors import InvalidEpsilon, InvalidRange
+from concrec.spectrum import _HEAD
 
 from _oracles import dense_delta, exact_qubit_errors, full_scan_tradeoff
 
@@ -188,12 +190,13 @@ class TestRecoverablePoints:
         # Every spectrum built or extended is freed on return by reference
         # counting alone: no reference cycle holds one until the cycle
         # collector runs, so the test runs with the collector off.
-        built = []
+        built, heads = [], []
 
         def recording(real):
             def build(*args):
                 spectrum = real(*args)
                 built.append(weakref.ref(spectrum))
+                heads.append(spectrum.suffix_log2_mass is not None and not spectrum.complete)
                 return spectrum
 
             return build
@@ -207,10 +210,13 @@ class TestRecoverablePoints:
             generalized_mcre(sv, 12, 7)
             max_recoverable(sv, 12, 0.3)
             recoverable_points(sv, 12, [0.5, 0.2, 0.5, 1e-13])
+            mcre(sv, 400)
+            recoverable_points(sv, 400, [0.5, 0.2])
             alive = [ref for ref in built if ref() is not None]
         finally:
             gc.enable()
         assert built
+        assert any(heads)
         assert alive == []
 
 
@@ -229,6 +235,68 @@ def test_recovery_spectra_are_built_partially(monkeypatch):
     assert below_n
     assert not any(ls.complete for ls in below_n)
     assert all(ls.num_levels < ls.copies // 4 for ls in below_n)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    st.floats(0.02, 0.45),
+    st.integers(200, 1500),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+)
+@example(0.1, 1500, 0.9, [0.1, 0.5])
+def test_head_and_full_spectrum_give_equal_results(p, n, share, grid):
+    sv = make_schmidt([p, 1.0 - p])
+    N = max(1, round(share * n))
+
+    def results():
+        return mcre(sv, n), generalized_mcre(sv, n, N), recoverable_points(sv, n, grid)
+
+    on_head = results()
+    real = tradeoff.power_spectrum
+
+    def full(sv, copies, *count):  # the full spectrum where a head is asked for
+        return real(sv, copies, *(c for c in count if c is not _HEAD))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tradeoff, "power_spectrum", full)
+        assert results() == on_head
+
+
+@pytest.mark.parametrize("levels", [300, 315])
+def test_full_build_fallback_gives_equal_results(monkeypatch, levels):
+    # The head for p = 0.1 at n = 3000 has 461 levels and reaches past every
+    # window; no input found reads past a head.  A cut to fewer levels is
+    # still exact where it answers.  Cut to 300, it does not reach 2^m0
+    # (m0 = 1407, in level 302); cut to 315, conc(m_hi) is within the bound.
+    # Either way the concentration errors read the full spectrum instead.
+    sv, n, grid = make_schmidt([0.1, 0.9]), 3000, [0.1, 0.5, 0.9]
+    expected = mcre(sv, n), generalized_mcre(sv, n, 2000), recoverable_points(sv, n, grid)
+    real = tradeoff.power_spectrum
+    full = []
+
+    def short_heads(sv, copies, *count):
+        ls = real(sv, copies, *count)
+        full.append(copies == n and not count)
+        if count and count[0] is _HEAD:
+            assert not ls.complete and ls.num_levels > levels
+            ls = dataclasses.replace(
+                ls,
+                starts=ls.starts[: levels + 1],
+                log2_eigenvalues=ls.log2_eigenvalues[:levels],
+                prefix_log2_mass=ls.prefix_log2_mass[:levels],
+                prefix_log2_sqrt_mass=ls.prefix_log2_sqrt_mass[:levels],
+                suffix_log2_mass=ls.suffix_log2_mass[: levels + 1],
+            )
+        return ls
+
+    monkeypatch.setattr(tradeoff, "power_spectrum", short_heads)
+    assert mcre(sv, n) == expected[0]
+    assert any(full)
+    full.clear()
+    assert recoverable_points(sv, n, grid) == expected[2]
+    assert any(full)
+    assert generalized_mcre(sv, n, 2000) == expected[1]
 
 
 @st.composite
