@@ -68,18 +68,24 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues
-
-    def condition(i: int) -> bool:
-        # i < i_max <= num_levels, and suffix[i] is a log-add of finite level
-        # masses.  Python floats: bisect compares the result with True, slowly
-        # for numpy.bool_.
-        return float(suffix[i]) - log2_int(L - starts[i]) >= float(eigs[i])
-
     # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
     # The last boundary below L, i_max, is never tested: exact arithmetic
     # guarantees the condition there, and float rounding can only miss it
     # at an exact tie, where either cut choice yields the same fidelity.
     i_max = bisect_right(starts, L - 1) - 1
+    # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
+    # float subtraction are monotone; so where the bound with the latter
+    # leaves the condition a bit short, it is false without reading starts[i]
+    # (a head counts many of its early starts on first read).
+    bound = log2_int(L - starts[i_max])
+
+    def condition(i: int) -> bool:
+        # i < i_max <= num_levels, and suffix[i] is a log-add of finite level
+        # masses.  Python floats: bisect compares the result with True, slowly
+        # for numpy.bool_.
+        tail, eig = float(suffix[i]), float(eigs[i])
+        return tail - bound >= eig - 1.0 and tail - log2_int(L - starts[i]) >= eig
+
     return starts[bisect_left(range(i_max), True, key=condition)]
 
 

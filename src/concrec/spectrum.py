@@ -56,6 +56,14 @@ for n <= 1e4, inside the window that concentration reads.  The full
 spectrum is built instead where a partial one would be, where the ladder
 would pass n // 2 levels, and where the suffix at the guard level lies above
 -1 (see ``_assemble``).
+
+A head's memory is mostly its exact starts below the mass peak, 2.7 MB at
+p = 0.077 and 16 MB at p = 0.24 for n = 3e4.  So it holds every start only
+from its *band*, the first level of mass 2^-40 or more, on; before that, only
+those of every 32nd level and of counts within 4096 bits.  Another start is
+counted up from the nearest one held when first read (a search reads a few
+dozen), and then held.  Where no start is left out, as at every n <= 4096,
+the starts stay a plain tuple, which reads faster.
 """
 
 from __future__ import annotations
@@ -87,6 +95,11 @@ _MASS_GUARD = 1e-6
 # The head's cut and guard, in bits (see the module docstring).
 _HEAD_CUT = 160
 _HEAD_GUARD = 100
+
+# A head's band and the starts held before it (see the module docstring).
+_HEAD_BAND = 40
+_HEAD_KNOT = 32
+_HEAD_SMALL = 4096
 
 # The count that asks power_spectrum for the head.
 _HEAD = object()
@@ -137,6 +150,47 @@ class SchmidtVector:
             raise NotNormalized("entries must sum to 1 within 1e-12")
 
 
+class _HeadStarts(Sequence[int]):
+    """A head's exact level starts: ``band`` holds them from level ``first``
+    on.  ``known`` maps levels before it to their (start, count), at first
+    every ``_HEAD_KNOT``-th level; a start read there is counted up the
+    ladder from the nearest known level below, and kept with its count."""
+
+    def __init__(self, n: int, known: dict[int, tuple[int, int]], band: tuple[int, ...], first: int):
+        self._n, self._known, self._band, self._first = n, known, band, first
+
+    def __len__(self) -> int:
+        return self._first + len(self._band)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if start or step != 1:
+                return tuple(map(self.__getitem__, range(start, stop, step)))
+            first = min(self._first, stop)
+            return _HeadStarts(self._n, self._known, self._band[: stop - first], first)
+        if i < 0:
+            i += len(self)
+        if i >= self._first:
+            return self._band[i - self._first]
+        if i < 0:
+            raise IndexError("level start index out of range")
+        level = i
+        while level not in self._known:
+            level -= 1
+        start, count = self._known[level]
+        for level in range(level, i):
+            start += count
+            count = count * (self._n - level) // (level + 1)
+        self._known[i] = start, count
+        return start
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _HeadStarts)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
     """Build a :class:`SchmidtVector` from raw probabilities.
 
@@ -166,14 +220,17 @@ class LeveledSpectrum:
 
     ``starts`` holds exact counts with a leading 0: level ``i`` covers the
     sorted entries ``starts[i] .. starts[i+1] - 1``, so its multiplicity is
-    ``starts[i+1] - starts[i]`` and ``starts[-1]`` is the total count.
+    ``starts[i+1] - starts[i]`` and ``starts[-1]`` is the total count.  It
+    is a tuple, except for a head whose early starts are counted when read
+    (see the module docstring), which compares equal to the tuple.
     ``prefix_log2_mass[i]`` is log2 of the total eigenvalue mass of levels
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
     sentinel so ``suffix_log2_mass[i]`` is always the mass of levels ``i..``.
     One function, ``_assemble``, computes these columns for every build.
     Instances are immutable, their array columns sealed read-only on
-    construction; every query below is pure and safe to call concurrently.
+    construction; every query below is pure and safe to call concurrently
+    (a head that counts a start when read keeps it, which changes no answer).
 
     A *partial* spectrum holds only the heaviest levels: their ``starts``,
     ``log2_eigenvalues`` and ``prefix_log2_mass``, with ``None`` for the
@@ -191,7 +248,7 @@ class LeveledSpectrum:
 
     base: SchmidtVector
     copies: int
-    starts: tuple[int, ...]
+    starts: Sequence[int]
     log2_eigenvalues: np.ndarray
     prefix_log2_mass: np.ndarray
     prefix_log2_sqrt_mass: Optional[np.ndarray]
@@ -394,6 +451,9 @@ def _leading_levels(
     # log2 of each count as it is made, so that no count is held twice.
     logs: list[float] = []
     peak, tail = NEG_INF, None
+    # Before a head's band, starts holds only the next level's start, and
+    # knots the (start, count) of the levels whose start is held.
+    knots: dict[int, tuple[int, int]] = {}
     if head:
         level_eigs, ratio = eigs.tolist(), sv.probs[1] / sv.probs[0]
     while head or starts[-1] < count:
@@ -409,12 +469,22 @@ def _leading_levels(
             return None
         mult = mult * (n - k + 1) // k if k else 1
         logs.append(log2_int(mult))
-        starts.append(starts[-1] + mult)
+        if head and len(starts) == 1 and logs[-1] + level_eigs[k] < -_HEAD_BAND:
+            if k % _HEAD_KNOT == 0 or mult.bit_length() <= _HEAD_SMALL:
+                knots[k] = starts[0], mult
+            starts[0] += mult
+        else:
+            starts.append(starts[-1] + mult)
         k += 1
     if mult != math.comb(n, k - 1):
         raise ArithmeticError("ladder count differs from the binomial count")
     log2_counts = np.array(logs, dtype=np.float64)
-    return _assemble(sv, n, tuple(starts), eigs[:k].copy(), log2_counts, prefix, tail)
+    first = k + 1 - len(starts)
+    if len(knots) == first:  # every start before the band is held: a plain tuple
+        kept = (*(start for start, _ in knots.values()), *starts)
+    else:
+        kept = _HeadStarts(n, knots, tuple(starts), first)
+    return _assemble(sv, n, kept, eigs[:k].copy(), log2_counts, prefix, tail)
 
 
 def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
@@ -442,7 +512,7 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
 def _assemble(
     sv: SchmidtVector,
     n: int,
-    starts: tuple[int, ...],
+    starts: Sequence[int],
     log2_eigs: np.ndarray,
     log2_counts: np.ndarray,
     built: np.ndarray,

@@ -87,6 +87,32 @@ class TestFlattenIndex:
             assert expected is not None
             assert _flatten_boundary(ls, L) == expected, m
 
+    @pytest.mark.parametrize(
+        "probs, n",
+        [((0.9, 0.1), 3000), ((0.75, 0.25), 2000), ((0.5, 0.3, 0.2), 60), ((0.4, 0.2, 0.2, 0.2), 40)],
+    )
+    def test_skipped_boundaries_change_no_cut(self, probs, n):
+        # The search skips reading starts[i] where a bound from starts[i_max]
+        # already makes the condition false; replay it reading every start.
+        from bisect import bisect_left, bisect_right
+
+        from concrec import log2_int
+
+        ls = power_spectrum(make_schmidt(probs), n)
+        starts, suffix, eigs = ls.starts, ls.suffix_log2_mass, ls.log2_eigenvalues
+        rng = np.random.default_rng(n)
+        bits = ls.total_count.bit_length()
+        counts = {1 << m for m in range(0, bits + 1, max(1, bits // 97))}
+        counts |= {int(rng.integers(1, 1 << 62)) << int(rng.integers(0, bits - 60)) for _ in range(60)}
+        for L in sorted(counts):
+            i_max = bisect_right(starts, L - 1) - 1
+            expected = starts[bisect_left(
+                range(i_max),
+                True,
+                key=lambda i: float(suffix[i]) - log2_int(L - starts[i]) >= float(eigs[i]),
+            )]
+            assert _flatten_boundary(ls, L) == expected, L
+
     def test_tie_insensitivity(self):
         # When the flattened tail average exactly equals the next weight,
         # cutting on either side of the tie describes the same vector, so

@@ -29,6 +29,7 @@ from concrec.errors import (
     NotNormalized,
     RankTooLargeForN,
 )
+from concrec import spectrum
 from concrec.spectrum import _HEAD, NEG_INF, _assemble, _build_bytes
 
 from _oracles import dense_power_spectrum, reference_power_spectrum
@@ -476,6 +477,60 @@ def test_heads_are_short_past_the_typical_set():
     assert 1407 < head.total_count.bit_length() < 2000
 
 
+@pytest.mark.parametrize("p, n", [(0.1, 3000), (0.25, 3000), (0.02, 2000), (0.2, 700)])
+def test_thinned_head_starts_equal_the_full_builds(p, n):
+    # Small counts are held whatever the knot spacing, so at n <= 4096 a head
+    # keeps a plain tuple.  With that limit lifted, the levels before the band
+    # keep only a start every 4 levels; every other start is counted when read.
+    sv = make_schmidt([p, 1.0 - p])
+    full = power_spectrum(sv, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_HEAD_SMALL", 0)
+        mp.setattr(spectrum, "_HEAD_KNOT", 4)
+        head = power_spectrum(sv, n, _HEAD)
+        fresh = power_spectrum(sv, n, _HEAD)
+    assert type(head.starts) is not tuple
+    k = head.num_levels
+    expected = full.starts[: k + 1]
+    assert len(head.starts) == k + 1
+    # Read in a shuffled order, so that starts are counted up and down from
+    # the starts read before them.
+    order = list(range(k + 1))
+    np.random.default_rng(n).shuffle(order)
+    assert [head.starts[i] for i in order] == [expected[i] for i in order]
+    assert fresh.starts == expected and expected == fresh.starts
+    assert head.starts[-1] == head.total_count == expected[-1]
+    assert head.starts[-k - 1] == 0
+    assert head.starts[1:] == expected[1:] and head.starts[::7] == expected[::7]
+    assert head.starts[: k // 2] == expected[: k // 2]
+    for index in (k + 1, -k - 2):
+        with pytest.raises(IndexError):
+            head.starts[index]
+    total = head.total_count
+    for count in {1, total // 3, total // 2, total}:
+        assert log2_tail_mass(head, count) == log2_tail_mass(full, count)
+        assert prefix_mass(head, count) == prefix_mass(full, count)
+        assert concentration_fidelity(head, count) == concentration_fidelity(full, count)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.25])
+def test_large_heads_hold_few_exact_starts(p):
+    # A head that held every start from level 0 until past the mass peak
+    # held 17.2 MB at p = 0.25 and n = 3e4, and 1.5 MB at p = 0.05, under
+    # tracemalloc; it peaked at 20.6 and 3.3 MB.  Now 5.3 and 1.2 MB, with
+    # peaks of 8.7 and 3.1 MB: only the levels of mass 2^-40 or more, and a
+    # few before them, keep their exact starts.
+    sv = make_schmidt([p, 1.0 - p])
+    tracemalloc.start()
+    try:
+        head = power_spectrum(sv, 30000, _HEAD)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(head.starts) is not tuple
+    assert retained < 7 * 2**20 and peak < 11 * 2**20, (retained, peak)
+
+
 @pytest.fixture(scope="module")
 def qubit_15000():
     """A complete spectrum whose 2^15000 entries take 4,516 decimal digits,
@@ -612,6 +667,33 @@ def test_concurrent_queries_match_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda c: prefix_mass(ls, c), counts))
     assert threaded == serial
+
+
+def test_concurrent_reads_of_counted_starts():
+    # A head keeps each start it counts; threads reading the same unread
+    # starts may count them at once, and must all see the exact values.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    sv = make_schmidt([0.25, 0.75])
+    expected = power_spectrum(sv, 3000).starts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_HEAD_SMALL", 0)
+        mp.setattr(spectrum, "_HEAD_KNOT", 16)
+        head = power_spectrum(sv, 3000, _HEAD)
+    indices = list(range(len(head.starts))) * 2
+    np.random.default_rng(3).shuffle(indices)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            chunks = [indices[j::8] for j in range(8)]
+            futures = [pool.submit(lambda c: [head.starts[i] for i in c], c) for c in chunks]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for chunk, got in zip(chunks, results):
+        assert got == [expected[i] for i in chunk]
 
 
 def test_schmidt_vector_invariants_enforced():

@@ -27,6 +27,7 @@ from concrec import (
 from concrec.asymptotics import profile
 from concrec.conversion import concentration_fidelity, dilution_fidelity
 from concrec.errors import InvalidEpsilon, InvalidRange
+from concrec import spectrum
 from concrec.spectrum import _HEAD
 
 from _oracles import dense_delta, exact_qubit_errors, full_scan_tradeoff
@@ -212,6 +213,8 @@ class TestRecoverablePoints:
             recoverable_points(sv, 12, [0.5, 0.2, 0.5, 1e-13])
             mcre(sv, 400)
             recoverable_points(sv, 400, [0.5, 0.2])
+            monkeypatch.setattr(spectrum, "_HEAD_SMALL", 0)  # counted starts
+            mcre(sv, 401)
             alive = [ref for ref in built if ref() is not None]
         finally:
             gc.enable()
@@ -261,6 +264,24 @@ def test_head_and_full_spectrum_give_equal_results(p, n, share, grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tradeoff, "power_spectrum", full)
         assert results() == on_head
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25])
+def test_thinned_heads_give_equal_results(p):
+    # Below 4097-bit counts a head holds every start, so at n = 2000 it keeps
+    # a plain tuple.  With that limit lifted, the search reads starts that the
+    # head counts from a knot every 4 levels.
+    sv, n, grid = make_schmidt([p, 1.0 - p]), 2000, [0.1, 0.5, 0.9]
+
+    def results():
+        return mcre(sv, n), generalized_mcre(sv, n, 1500), recoverable_points(sv, n, grid)
+
+    plain = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_HEAD_SMALL", 0)
+        mp.setattr(spectrum, "_HEAD_KNOT", 4)
+        assert type(power_spectrum(sv, n, _HEAD).starts) is not tuple
+        assert results() == plain
 
 
 @pytest.mark.parametrize("levels", [300, 315])
