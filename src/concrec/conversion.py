@@ -64,7 +64,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     """
     if L < 1:
         raise InvalidDimension(f"target dimension must be >= 1, got {L}")
-    _require_reach(ls, L, ls.suffix_log2_mass, "the flatten cut")
+    _require_reach(ls, L, ls.suffix_log2_mass)
     starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues

@@ -22,7 +22,9 @@ class RankTooLargeForN(Error):
 
 
 class CountExceedsTotal(Error):
-    """A prefix query asked for more entries than the spectrum contains."""
+    """A spectrum query that the spectrum does not answer: a count past the
+    entries that an incomplete spectrum holds, or a read of a column that was
+    not built.  A complete spectrum clamps a count past its total instead."""
 
 
 class InvalidDimension(Error):

@@ -30,11 +30,9 @@ maximally entangled state, may ask for a *partial* spectrum of a rank-2
 state with unequal entries: the heaviest levels only, down to the first one
 that passes a given entry count.  For two values the ladder runs from the
 heaviest level down, which is already the sorted order whenever the float
-eigenvalues strictly decrease along it, so no sort is needed; and
-:func:`extend_spectrum` continues the ladder from its last exact count.
-Its columns (see :class:`LeveledSpectrum`) equal the leading entries of the
-full build bit for bit, since ``np.logaddexp2.accumulate`` is a running
-sum.
+eigenvalues strictly decrease along it, so no sort is needed.  Its columns
+(see :class:`LeveledSpectrum`) equal the leading entries of the full build
+bit for bit, since ``np.logaddexp2.accumulate`` is a running sum.
 
 The trade-off search reads the n-copy spectrum of such a state only near its
 typical set, so it asks for the *head*: the same ladder from the heaviest
@@ -48,14 +46,19 @@ level 0; the suffix is accumulated over the built levels only, so it misses
 the dropped tail.  A *guard* keeps the levels above the deepest one whose
 suffix still lies ``_HEAD_GUARD`` = 100 bits above the bound: there the
 dropped mass is far below the last bit of the running sum, and the two
-accumulations agree from that level up.  The head answers every count up to
-the start of that level, its ``total_count``, and raises
-``CountExceedsTotal`` past it.  A cut of 60 bits was not enough: the head's
-suffix then differed from the full build's 16 to 78 levels past the peak
-for n <= 1e4, inside the window that concentration reads.  The full
-spectrum is built instead where a partial one would be, where the ladder
-would pass n // 2 levels, and where the suffix at the guard level lies above
--1 (see ``_assemble``).
+accumulations agree from that level up.  The head holds the entries up to
+the start of that level, its ``total_count``.  A cut of 60 bits was not
+enough: the head's suffix then differed from the full build's 16 to 78
+levels past the peak for n <= 1e4, inside the window that concentration
+reads.  The full spectrum is built instead where a partial one would be,
+where the ladder would pass n // 2 levels, and where the suffix at the guard
+level lies above -1 (see ``_assemble``).
+
+What a spectrum answers is decided in one place, ``_log2_split`` (the rule
+is in :class:`LeveledSpectrum`), and what is built past it in another,
+:func:`extend_spectrum`: a partial spectrum continues its ladder from its
+last exact count, and a head, or a partial spectrum whose ladder cannot
+continue, becomes the full build.
 
 A head's memory is mostly its exact starts below the mass peak, 2.7 MB at
 p = 0.077 and 16 MB at p = 0.24 for n = 3e4.  So it holds every start only
@@ -154,7 +157,9 @@ class _HeadStarts(Sequence[int]):
     """A head's exact level starts: ``band`` holds them from level ``first``
     on.  ``known`` maps levels before it to their (start, count), at first
     every ``_HEAD_KNOT``-th level; a start read there is counted up the
-    ladder from the nearest known level below, and kept with its count."""
+    ladder from the nearest known level below, and kept with its count.
+    Besides an index, it takes only the cut ``[:stop]`` that ``_assemble``
+    makes."""
 
     def __init__(self, n: int, known: dict[int, tuple[int, int]], band: tuple[int, ...], first: int):
         self._n, self._known, self._band, self._first = n, known, band, first
@@ -164,11 +169,8 @@ class _HeadStarts(Sequence[int]):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if start or step != 1:
-                return tuple(map(self.__getitem__, range(start, stop, step)))
-            first = min(self._first, stop)
-            return _HeadStarts(self._n, self._known, self._band[: stop - first], first)
+            first = min(self._first, i.stop)
+            return _HeadStarts(self._n, self._known, self._band[: i.stop - first], first)
         if i < 0:
             i += len(self)
         if i >= self._first:
@@ -184,11 +186,6 @@ class _HeadStarts(Sequence[int]):
             count = count * (self._n - level) // (level + 1)
         self._known[i] = start, count
         return start
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _HeadStarts)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
 
 
 def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
@@ -222,7 +219,7 @@ class LeveledSpectrum:
     sorted entries ``starts[i] .. starts[i+1] - 1``, so its multiplicity is
     ``starts[i+1] - starts[i]`` and ``starts[-1]`` is the total count.  It
     is a tuple, except for a head whose early starts are counted when read
-    (see the module docstring), which compares equal to the tuple.
+    (see the module docstring).
     ``prefix_log2_mass[i]`` is log2 of the total eigenvalue mass of levels
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
@@ -235,15 +232,18 @@ class LeveledSpectrum:
     A *partial* spectrum holds only the heaviest levels: their ``starts``,
     ``log2_eigenvalues`` and ``prefix_log2_mass``, with ``None`` for the
     square-root and suffix columns, so its ``total_count`` is the number of
-    entries those levels hold.  It answers ``log2_prefix_mass`` and
-    ``prefix_mass`` (and so dilution) up to ``total_count``.  A larger count,
-    and every other query, raises ``CountExceedsTotal``.
+    entries those levels hold.  A *head* (see the module docstring) has
+    every column, and its last suffix entry is the mass of the levels it
+    leaves out rather than the ``-inf`` sentinel.  Only a spectrum with every
+    level is ``complete``.
 
-    A *head* (see the module docstring) has every column, and its last
-    suffix entry is the mass of the levels it leaves out rather than the
-    ``-inf`` sentinel.  It answers every query up to ``total_count`` and
-    raises ``CountExceedsTotal`` past it.  Only a spectrum with every level
-    is ``complete``.
+    Every mass query (the prefix, square-root prefix and tail masses, and so
+    the conversions) reads a count by one rule: a negative count raises
+    ``ValueError``; past ``total_count`` a complete spectrum clamps, since the
+    entries past its total are zero padding; an incomplete spectrum, or a
+    column that was not built, raises ``CountExceedsTotal``; and a prefix of
+    0 entries is -inf.  :func:`extend_spectrum` grows an incomplete spectrum
+    until it answers a count.
     """
 
     base: SchmidtVector
@@ -272,16 +272,12 @@ class LeveledSpectrum:
         return self.suffix_log2_mass is not None and bool(self.suffix_log2_mass[-1] == NEG_INF)
 
 
-def _require_reach(
-    ls: LeveledSpectrum, count: int, column: Optional[np.ndarray], query: str
-) -> None:
-    """Raise ``CountExceedsTotal`` unless ``ls`` answers ``query``, a read of
-    ``column`` at ``count``: the column must be built, and only a complete
-    spectrum answers counts past its total."""
+def _require_reach(ls: LeveledSpectrum, count: int, column: Optional[np.ndarray]) -> None:
+    """Raise ``CountExceedsTotal`` unless ``ls`` answers a read of ``column``
+    at ``count``: the column must be built, and only a complete spectrum
+    answers counts past its total."""
     if column is None or (count > ls.total_count and not ls.complete):
-        raise CountExceedsTotal(
-            f"{query} reads past the {ls.num_levels} built levels of the spectrum"
-        )
+        raise CountExceedsTotal(f"a read past the {ls.num_levels} built levels of the spectrum")
 
 
 def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
@@ -407,17 +403,21 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
 
 
 def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
-    """``ls`` built far enough down to hold its top ``count`` entries.
+    """``ls`` grown until it answers ``count`` entries.
 
     Returns ``ls`` itself when it is complete or already holds them.  A
-    partial spectrum is continued from its last level, so no built level is
-    computed again, or replaced by the full build in the cases where
-    :func:`power_spectrum` builds in full.
+    partial spectrum continues its ladder from its last level, so no built
+    level is computed again.  A head, or a partial spectrum whose ladder
+    cannot continue (where :func:`power_spectrum` builds in full), becomes
+    the full build.
     """
     if ls.complete or count <= ls.total_count:
         return ls
-    longer = _leading_levels(ls.base, ls.copies, count, ls)
-    return power_spectrum(ls.base, ls.copies) if longer is None else longer
+    if ls.suffix_log2_mass is None:
+        longer = _leading_levels(ls.base, ls.copies, count, ls)
+        if longer is not None:
+            return longer
+    return _full_spectrum(ls.base, ls.copies)
 
 
 def _leading_levels(
@@ -454,12 +454,11 @@ def _leading_levels(
     # Before a head's band, starts holds only the next level's start, and
     # knots the (start, count) of the levels whose start is held.
     knots: dict[int, tuple[int, int]] = {}
-    if head:
-        level_eigs, ratio = eigs.tolist(), sv.probs[1] / sv.probs[0]
+    ratio = sv.probs[1] / sv.probs[0]
     while head or starts[-1] < count:
         if head and k:
             r = (n - k + 1) / k * ratio
-            mass = logs[-1] + level_eigs[k - 1]
+            mass = logs[-1] + eigs.item(k - 1)
             peak = max(peak, mass)
             if 0.0 < r < 1.0:  # r = 0 only past level n, at n = 0
                 tail = mass + math.log2(r / (1.0 - r))
@@ -469,7 +468,7 @@ def _leading_levels(
             return None
         mult = mult * (n - k + 1) // k if k else 1
         logs.append(log2_int(mult))
-        if head and len(starts) == 1 and logs[-1] + level_eigs[k] < -_HEAD_BAND:
+        if head and len(starts) == 1 and logs[-1] + eigs.item(k) < -_HEAD_BAND:
             if k % _HEAD_KNOT == 0 or mult.bit_length() <= _HEAD_SMALL:
                 knots[k] = starts[0], mult
             starts[0] += mult
@@ -564,20 +563,27 @@ def _assemble(
 
 
 def _log2_split(
-    ls: LeveledSpectrum, count: int, whole: np.ndarray, weight: float, tail: bool
+    ls: LeveledSpectrum, count: int, whole: Optional[np.ndarray], weight: float, tail: bool
 ) -> float:
     """log2 of the sum of eigenvalue**weight over the top ``count`` entries,
-    or over the entries after them when ``tail`` is set.
+    or over the entries after them when ``tail`` is set, by the read rule of
+    :class:`LeveledSpectrum`.
 
     ``whole`` holds the matching sums over whole levels: a prefix column for
-    the top entries, ``suffix_log2_mass`` for the rest.  Needs
-    ``0 <= count <= total``, and ``count >= 1`` for the top entries.
+    the top entries, ``suffix_log2_mass`` for the rest.
     """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if whole is None or count > ls.total_count:
+        _require_reach(ls, count, whole)
+        count = ls.total_count
     starts = ls.starts
     i = bisect_right(starts, count) - 1  # the level that holds entry count + 1
     kept = count - starts[i]  # entries of level i among the top count
     if kept == 0:
-        return float(whole[i] if tail else whole[i - 1])
+        if tail:
+            return float(whole[i])
+        return float(whole[i - 1]) if i else NEG_INF
     if tail:
         rest, piece = whole[i + 1], starts[i + 1] - count
     else:
@@ -587,45 +593,20 @@ def _log2_split(
 
 
 def log2_prefix_mass(ls: LeveledSpectrum, count: int) -> float:
-    """log2 of the sum of the top ``count`` eigenvalues.
-
-    Beyond the total, a complete spectrum clamps and a partial one raises
-    ``CountExceedsTotal``.
-    """
-    if count <= 0:
-        return NEG_INF
-    if count > ls.total_count:
-        _require_reach(ls, count, ls.prefix_log2_mass, "a prefix beyond the built entries")
-        count = ls.total_count
+    """log2 of the sum of the top ``count`` eigenvalues."""
     return _log2_split(ls, count, ls.prefix_log2_mass, 1.0, False)
 
 
 def log2_prefix_sqrt_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the sum of sqrt(eigenvalue) over the top ``count`` entries."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if ls.prefix_log2_sqrt_mass is None or count > ls.total_count:
-        raise CountExceedsTotal(
-            f"the square-root mass reads past the {ls.num_levels} built levels of the spectrum"
-        )
-    if count == 0:
-        return NEG_INF
     return _log2_split(ls, count, ls.prefix_log2_sqrt_mass, 0.5, False)
 
 
 def log2_tail_mass(ls: LeveledSpectrum, count: int) -> float:
     """log2 of the eigenvalue mass strictly after the top ``count`` entries."""
-    _require_reach(ls, count, ls.suffix_log2_mass, "the tail mass")
-    count = min(max(count, 0), ls.total_count)
     return _log2_split(ls, count, ls.suffix_log2_mass, 1.0, True)
 
 
 def prefix_mass(ls: LeveledSpectrum, count: int) -> float:
-    """Sum of the top ``count`` sorted eigenvalues, in [0, 1].
-
-    Counts beyond the total clamp to the full mass on a complete spectrum
-    and raise ``CountExceedsTotal`` on a partial one.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    """Sum of the top ``count`` sorted eigenvalues, in [0, 1]."""
     return min(1.0, 2.0 ** log2_prefix_mass(ls, count))

@@ -37,11 +37,13 @@ N, so a search over an error grid shares its concentration errors across
 its points, as it shares the points across its budgets.  Both are
 ``functools.cache`` closures over the search, dropped on return.
 
+Every error is read through one accessor, ``_errors``: a read at 2^m that
+the spectrum does not answer grows it with ``extend_spectrum`` (see
+``concrec.spectrum``), and the grown spectrum serves every later read.
 Below N = n the N-copy spectrum is read only by the dilution term, which
-reads its top 2^m entries.  So it is built as a partial spectrum (see
-``concrec.spectrum``) down to 2^m0, the window's upper end is bisected on
-concentration errors alone, and the spectrum is extended once, down to 2^m
-for that end, before the dilution bisection and the branch and bound.
+reads its top 2^m entries.  So it is built as a partial spectrum down to
+2^m0, and the window's upper end is bisected on concentration errors alone;
+the first dilution read past it, at that end, continues it once.
 
 *The head.*  The n-copy spectrum is built as a head (see
 ``concrec.spectrum``): only its levels near and above the typical set, with
@@ -49,9 +51,9 @@ every column, exact up to its ``total_count``.  The window's upper end lies
 within it: the search reads conc(m_hi), for 2^m_hi the largest power of two
 the head answers, and once that lies above the bound it bisects the upper end
 over (m0, m_hi] only.  Everything the search reads then lies within the
-head.  Where the check fails, or the head does not reach 2^m0, the
-concentration errors read the full spectrum instead, built once on the first
-read past the head, and give the same result.
+head.  Where the check fails, or the head does not reach 2^m0, the first
+read past the head grows it into the full spectrum, once for both errors at
+N = n, with the same result.
 """
 
 from __future__ import annotations
@@ -88,41 +90,41 @@ _WINDOW_SLACK = 1e-12
 _NOISE_BUDGET = 1e-9
 
 
-def _conc_errors(spec_n: LeveledSpectrum) -> Callable[[int], float]:
-    """The concentration error of ``spec_n`` into 2^m, as a cached function of m.
+def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], Callable[[int], float]]:
+    """The concentration and dilution errors of ``ls`` at 2^m, as cached
+    functions of m.  A read that ``ls`` does not answer grows it by
+    ``extend_spectrum``, and the grown spectrum serves every later read of
+    either error."""
 
-    The first read past a head builds the full spectrum, which then serves
-    every later read.
-    """
+    def grown(m: int) -> LeveledSpectrum:
+        nonlocal ls
+        ls = extend_spectrum(ls, 1 << m)
+        return ls
 
-    def error(m: int) -> float:
-        nonlocal spec_n
-        if not spec_n.complete and 1 << m > spec_n.total_count:
-            spec_n = power_spectrum(spec_n.base, spec_n.copies)
-        return concentration_fidelity(spec_n, 1 << m).error
-
-    return cache(error)
+    return (
+        cache(lambda m: concentration_fidelity(grown(m), 1 << m).error),
+        cache(lambda m: dilution_fidelity(grown(m), 1 << m).error),
+    )
 
 
 def _gmcre(
-    spec_n: LeveledSpectrum, N: int, entropy: float, conc: Callable[[int], float]
+    spec_n: LeveledSpectrum, N: int, entropy: float, errors_n: tuple[Callable[[int], float], ...]
 ) -> TradeoffResult:
-    """Trade-off point at N; ``conc`` is ``_conc_errors(spec_n)``."""
+    """Trade-off point at N; ``errors_n`` is ``_errors(spec_n)``."""
     sv, n = spec_n.base, spec_n.copies
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
     m_cap = max(1, N * (sv.rank - 1).bit_length())
     m0 = min(max(round(entropy * N), 1), m_cap)
-    # dil reads spec_N when called, so it sees the extension, which leaves
-    # the errors cached before it bit for bit equal.
-    spec_N = extend_spectrum(spec_n, 1 << m0) if N == n else power_spectrum(sv, N, 1 << m0)
-    dil = cache(lambda m: dilution_fidelity(spec_N, 1 << m).error)
+    conc, dil = errors_n
+    if N < n:
+        dil = _errors(power_spectrum(sv, N, 1 << m0))[1]
 
     # The window and the branch and bound stay exact in floats while no
     # rounding moves conc down, or dil up, by the slack between any two m.
     # Measured for qubits up to n = 3e4: the largest such move is 9.6e-13
     # (conc, p = 0.25), and dil never rises.  The intervals wait on a stack:
-    # a recursive closure would be a reference cycle, keeping spec_N alive
-    # until the cycle collector runs.
+    # a recursive closure would be a reference cycle, keeping the N-copy
+    # spectrum alive until the cycle collector runs.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     hi = m_cap
     if not spec_n.complete:  # a head: see the module docstring
@@ -130,7 +132,6 @@ def _gmcre(
         if m0 < m_hi < m_cap and conc(m_hi) > bound:
             hi = m_hi
     last = hi - bisect_left(range(hi, m0, -1), True, key=lambda m: conc(m) <= bound)
-    spec_N = extend_spectrum(spec_N, 1 << last)
     first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
 
     def key(m: int) -> tuple[float, int]:
@@ -166,7 +167,7 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
     spec_n = power_spectrum(sv, n, _HEAD)
-    return _gmcre(spec_n, N, profile(sv).entropy_S, _conc_errors(spec_n))
+    return _gmcre(spec_n, N, profile(sv).entropy_S, _errors(spec_n))
 
 
 def mcre(sv: SchmidtVector, n: int) -> TradeoffResult:
@@ -202,8 +203,8 @@ def recoverable_points(
             raise InvalidEpsilon(f"need 0 < eps <= 1, got {eps}")
     spec_n = power_spectrum(sv, n, _HEAD)
     prof = profile(sv)
-    conc = _conc_errors(spec_n)
-    point = cache(lambda N: _gmcre(spec_n, N, prof.entropy_S, conc))
+    errors_n = _errors(spec_n)
+    point = cache(lambda N: _gmcre(spec_n, N, prof.entropy_S, errors_n))
     found: dict[float, Union[TradeoffResult, None]] = {}
     N = offset = 0
     for eps in sorted(set(eps_grid)):

@@ -104,6 +104,13 @@ class TestFig:
         assert run(["query", "--kind", "mcre", *state, "--n", n]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    def test_gmcre_record_is_pinned(self, capsys):
+        # Below N = n, dilution reads a partial N-copy spectrum that the
+        # search continues past 2^m0 (optimal_m 1,284 against m0 1,172).
+        assert run(["query", "--kind", "gmcre", "--p", "0.1", "--n", "3000", "--N", "2500"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "7ef6f4030d9509d4e2b01ab0391e19b8de8b6eee8a34e17b3ef35387b54d856e"
+
     def test_concentration_results_are_pinned(self):
         # Every 7th m up to 3100 at n = 3000: the cut J runs from 0 up to the
         # total 2^3000, where the tail mass is the -inf sentinel.

@@ -290,15 +290,18 @@ def test_full_build_fallback_gives_equal_results(monkeypatch, levels):
     # window; no input found reads past a head.  A cut to fewer levels is
     # still exact where it answers.  Cut to 300, it does not reach 2^m0
     # (m0 = 1407, in level 302); cut to 315, conc(m_hi) is within the bound.
-    # Either way the concentration errors read the full spectrum instead.
+    # Either way the first read past the head grows it into the full build.
     sv, n, grid = make_schmidt([0.1, 0.9]), 3000, [0.1, 0.5, 0.9]
     expected = mcre(sv, n), generalized_mcre(sv, n, 2000), recoverable_points(sv, n, grid)
-    real = tradeoff.power_spectrum
+    real, real_full = tradeoff.power_spectrum, spectrum._full_spectrum
     full = []
+
+    def full_build(sv, copies):
+        full.append(copies == n)
+        return real_full(sv, copies)
 
     def short_heads(sv, copies, *count):
         ls = real(sv, copies, *count)
-        full.append(copies == n and not count)
         if count and count[0] is _HEAD:
             assert not ls.complete and ls.num_levels > levels
             ls = dataclasses.replace(
@@ -312,6 +315,7 @@ def test_full_build_fallback_gives_equal_results(monkeypatch, levels):
         return ls
 
     monkeypatch.setattr(tradeoff, "power_spectrum", short_heads)
+    monkeypatch.setattr(spectrum, "_full_spectrum", full_build)
     assert mcre(sv, n) == expected[0]
     assert any(full)
     full.clear()
