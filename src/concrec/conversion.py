@@ -12,7 +12,7 @@ so dimensions like 2^3000 are exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -20,12 +20,13 @@ import numpy as np
 
 from .errors import DimensionTooLargeForOracle, InvalidDimension
 from .spectrum import (
+    NEG_INF,
     LeveledSpectrum,
     SchmidtVector,
+    _log2_gap,
+    _split,
     _require_reach,
     log2_int,
-    log2_prefix_sqrt_mass,
-    log2_tail_mass,
     prefix_mass,
 )
 
@@ -54,7 +55,8 @@ def _clamp_unit(x: float) -> float:
 
 
 def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
-    """Cut position J of the optimal flatten cut.
+    """Level j of the optimal flatten cut, which keeps J = ``ls.starts[j]``
+    entries.
 
     J is the smallest j in [0, L-1] whose tail average (sum of entries after
     j, divided by L - j) is at least the next entry.  The condition, once
@@ -72,21 +74,37 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     # The last boundary below L, i_max, is never tested: exact arithmetic
     # guarantees the condition there, and float rounding can only miss it
     # at an exact tie, where either cut choice yields the same fidelity.
-    i_max = bisect_right(starts, L - 1) - 1
+    i_max, bound = _split(starts, L)
+    if bound == NEG_INF:  # L == starts[i_max], so the boundary below L is one level up
+        i_max -= 1
+        bound = _log2_gap(starts, i_max, L)
     # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
     # float subtraction are monotone; so where the bound with the latter
-    # leaves the condition a bit short, it is false without reading starts[i]
-    # (a head counts many of its early starts on first read).
-    bound = log2_int(L - starts[i_max])
+    # leaves the condition a bit short, it is false without reading the gap
+    # at starts[i].
 
     def condition(i: int) -> bool:
         # i < i_max <= num_levels, and suffix[i] is a log-add of finite level
         # masses.  Python floats: bisect compares the result with True, slowly
         # for numpy.bool_.
         tail, eig = float(suffix[i]), float(eigs[i])
-        return tail - bound >= eig - 1.0 and tail - log2_int(L - starts[i]) >= eig
+        return tail - bound >= eig - 1.0 and tail - _log2_gap(starts, i, L) >= eig
 
-    return starts[bisect_left(range(i_max), True, key=condition)]
+    return bisect_left(range(i_max), True, key=condition)
+
+
+def _concentration(ls: LeveledSpectrum, L: int) -> tuple[ConversionResult, int]:
+    """:func:`concentration_fidelity` with ``flatten_index_J`` None, and the
+    level j of its cut, so J = ``ls.starts[j]``.  It reads no exact start of
+    a ladder spectrum where the bounds decide (see ``concrec.spectrum``)."""
+    j = _flatten_boundary(ls, L)
+    log2_L = log2_int(L)
+    kept = float(ls.prefix_log2_sqrt_mass[j - 1]) if j else NEG_INF
+    first = 2.0 ** (kept - 0.5 * log2_L)
+    rest = _log2_gap(ls.starts, j, L) - log2_L + float(ls.suffix_log2_mass[j])
+    second = 2.0 ** (0.5 * rest)
+    fidelity = _clamp_unit(first + second)
+    return ConversionResult(fidelity, 1.0 - fidelity * fidelity, None), j
 
 
 def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
@@ -96,12 +114,8 @@ def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
     The fidelity is sqrt(1/L) * sum of sqrt of the J kept weights plus
     sqrt((1 - J/L) * tail mass); both terms are assembled in log2 space.
     """
-    J = _flatten_boundary(ls, L)
-    log2_L = log2_int(L)
-    first = 2.0 ** (log2_prefix_sqrt_mass(ls, J) - 0.5 * log2_L)
-    second = 2.0 ** (0.5 * (log2_int(L - J) - log2_L + log2_tail_mass(ls, J)))
-    fidelity = _clamp_unit(first + second)
-    return ConversionResult(fidelity=fidelity, error=1.0 - fidelity * fidelity, flatten_index_J=J)
+    result, j = _concentration(ls, L)
+    return ConversionResult(result.fidelity, result.error, flatten_index_J=ls.starts[j])
 
 
 def dilution_fidelity(ls_target: LeveledSpectrum, L: int) -> ConversionResult:

@@ -5,12 +5,14 @@ probabilities (p_1, ..., p_r) are the products prod_i p_i^{k_i} taken over
 compositions (k_1, ..., k_r) of n.  Entries sharing the same exponent
 pattern against the distinct base probabilities form one *level* (a type
 class): a single eigenvalue with an exact multiplicity.  The whole spectrum
-is therefore stored as a few per-level columns: log2 eigenvalues, exact
-level start counts, and log2 prefix and suffix masses.  Multiplicities
-and counts reach 2^3000 and beyond, so all counting is exact integer
-arithmetic; masses live in log2 space and are accumulated with running
-log-add in double precision, which keeps the total-mass drift around 1e-12
-for spectra with thousands of levels.
+is therefore stored as a few per-level columns: log2 eigenvalues, level
+start counts, and log2 prefix and suffix masses.  Multiplicities and counts
+reach 2^3000 and beyond.  Counting is exact where an integer is output or
+a bound cannot decide: the full build counts in exact integers, and the
+rank-2 ladder below in certified fixed precision.  Masses live in log2
+space and are accumulated with running log-add in double precision, which
+keeps the total-mass drift around 1e-12 for spectra with thousands of
+levels.
 
 The build works on whole columns.  The exponent vectors form one int64
 array and the multiplicities one list, from an exact ratio ladder that
@@ -57,16 +59,46 @@ level lies above -1 (see ``_assemble``).
 What a spectrum answers is decided in one place, ``_log2_split`` (the rule
 is in :class:`LeveledSpectrum`), and what is built past it in another,
 :func:`extend_spectrum`: a partial spectrum continues its ladder from its
-last exact count, and a head, or a partial spectrum whose ladder cannot
-continue, becomes the full build.
+last level, and a head, or a partial spectrum whose ladder cannot continue,
+becomes the full build.
 
-A head's memory is mostly its exact starts below the mass peak, 2.7 MB at
-p = 0.077 and 16 MB at p = 0.24 for n = 3e4.  So it holds every start only
-from its *band*, the first level of mass 2^-40 or more, on; before that, only
-those of every 32nd level and of counts within 4096 bits.  Another start is
-counted up from the nearest one held when first read (a search reads a few
-dozen), and then held.  Where no start is left out, as at every n <= 4096,
-the starts stay a plain tuple, which reads faster.
+*Certified counts.*  Partial spectra and heads run their ladder on a P-bit
+mantissa and an exponent, P = ``_MANTISSA``.  Each step multiplies the
+mantissa of C(n, k - 1) by n - k + 1, floor-divides it by k and truncates
+it to P bits.  The running start is kept at the count's exponent, so it is
+truncated to that exponent's multiples as the count is, and each start is
+held truncated to P bits.  These roundings only lower a value, so every
+count and start is a lower bound m 2^e of the exact one.  In one step the
+division loses less than one unit 2^e of the old last bit, and the
+truncation by s bits at most 2^(e+s) - 2^e, so together less than one unit
+of the new last bit.  Once a value is truncated its mantissa has P bits, so
+that unit is at most u = 2^(1-P) of the value; before, every value is
+exact.  So a count after k steps is C_k <= a_k (1 + u)^k.  The running sum
+of k such counts loses less than u of each new count, and so of the new
+sum, at each of its k steps, and the held start u of itself more; so the
+start of level k is S_k <= s_k (1 + u)^(2k).  Since (1 + u)^N - 1 <= 2 N u
+while N u <= 1, and m < 2^P, the exact count lies in [m 2^e, (m + 4k) 2^e]
+and the exact start in [m 2^e, (m + 8k) 2^e], for k <= 2^(P - 2); a value
+with e = 0 is exact.  Each start's bound is held packed as e 2^P + m, so
+that integer order is the order of the bounds, and a level is found by one
+bisection of a plain list.  A read answers from these intervals where they
+decide it: a comparison with a count where the interval lies on one side of
+it, and ``log2_int`` of a count, or of a count minus a start, where both
+ends have the same bit length and top 53 bits, so that the exact value has
+them too.  Otherwise the read counts exactly: the exact ladder runs from
+level 0 up to the level read, once per spectrum, and keeps what it counted.
+At P = 128 the bounds have decided every read of every trade-off search
+tried, up to n = 1e5.  ``math.comb(n, k)`` must lie in the interval of each
+ladder's last count.
+
+A ladder spectrum thus holds no count of n bits: its ``starts`` are exact
+only when read (see :class:`LeveledSpectrum`).  The ladder needs the float
+eigenvalues to strictly decrease along it, over every level, not only those
+it builds.  They do where the step log2(a / b) exceeds twice the rounding
+error of any eigenvalue: each is two products and a sum, each rounded, of
+terms at most n |log2 b| in size, so its error is below 2^-51 n |log2 b|,
+and the ladder checks log2(a / b) > 2^-49 n |log2 b|.  Only where that
+fails does it compute every eigenvalue and check them.
 """
 
 from __future__ import annotations
@@ -99,10 +131,8 @@ _MASS_GUARD = 1e-6
 _HEAD_CUT = 160
 _HEAD_GUARD = 100
 
-# A head's band and the starts held before it (see the module docstring).
-_HEAD_BAND = 40
-_HEAD_KNOT = 32
-_HEAD_SMALL = 4096
+# The mantissa bits of a ladder's certified counts (see the module docstring).
+_MANTISSA = 128
 
 # The count that asks power_spectrum for the head.
 _HEAD = object()
@@ -153,39 +183,144 @@ class SchmidtVector:
             raise NotNormalized("entries must sum to 1 within 1e-12")
 
 
-class _HeadStarts(Sequence[int]):
-    """A head's exact level starts: ``band`` holds them from level ``first``
-    on.  ``known`` maps levels before it to their (start, count), at first
-    every ``_HEAD_KNOT``-th level; a start read there is counted up the
-    ladder from the nearest known level below, and kept with its count.
-    Besides an index, it takes only the cut ``[:stop]`` that ``_assemble``
-    makes."""
+class _LadderStarts(Sequence[int]):
+    """The level starts of a ladder spectrum: exact when read, and held as
+    the certified bounds that the library's reads use (see the module
+    docstring).
 
-    def __init__(self, n: int, known: dict[int, tuple[int, int]], band: tuple[int, ...], first: int):
-        self._n, self._known, self._band, self._first = n, known, band, first
+    ``lo[k]`` packs the lower bound m 2^e of start k as e 2^bits + m, so that
+    integer order is the order of the bounds.  ``known`` maps each level that
+    the exact ladder has reached to its exact (start, count).  The ladder
+    runs up from the highest such level, so threads that count the same
+    levels store equal values.  ``last`` is the state that a partial
+    spectrum's ladder continues from: the bound m 2^e of the last level's
+    count as (e, m), and the running start at that exponent.
+    The cut ``[:stop]`` that ``_assemble`` makes is again a ladder's
+    starts; any other slice is a tuple of exact starts.
+    """
+
+    def __init__(self, n: int, bits: int, lo: list[int], known: dict[int, tuple[int, int]]):
+        self.n, self.bits, self.lo, self.known = n, bits, lo, known
+        self.last: Optional[tuple[int, int, int]] = None
 
     def __len__(self) -> int:
-        return self._first + len(self._band)
+        return len(self.lo)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            first = min(self._first, i.stop)
-            return _HeadStarts(self._n, self._known, self._band[: i.stop - first], first)
+            if i.start is None and i.step is None:
+                return _LadderStarts(self.n, self.bits, self.lo[i], self.known)
+            return tuple(self)[i]
         if i < 0:
-            i += len(self)
-        if i >= self._first:
-            return self._band[i - self._first]
-        if i < 0:
+            i += len(self.lo)
+        if not 0 <= i < len(self.lo):
             raise IndexError("level start index out of range")
-        level = i
-        while level not in self._known:
-            level -= 1
-        start, count = self._known[level]
-        for level in range(level, i):
-            start += count
-            count = count * (self._n - level) // (level + 1)
-        self._known[i] = start, count
-        return start
+        return self.exact(i)[0]
+
+    def exact(self, i: int) -> tuple[int, int]:
+        """The exact start and count of level ``i``."""
+        known = self.known
+        if i not in known:
+            level = len(known) - 1
+            start, count = known[level]
+            for level in range(level, i):
+                start += count
+                count = count * (self.n - level) // (level + 1)
+                known[level + 1] = start, count
+        return known[i]
+
+    def pack(self, count: int) -> int:
+        """``count`` rounded down to the bounds' precision and packed like
+        them: a bound is at most the one where it is at most the other."""
+        e = count.bit_length() - self.bits
+        return count if e <= 0 else e << self.bits | count >> e
+
+    def bound(self, j: int) -> tuple[int, int, int]:
+        """(e, m, w) such that start ``j`` lies in [m 2^e, (m + w) 2^e]."""
+        packed = self.lo[j]
+        e = packed >> self.bits
+        return e, packed & ((1 << self.bits) - 1), 8 * j if e else 0
+
+
+def _log2_between(x: int, y: int, e: int) -> Optional[float]:
+    """``log2_int`` of every integer in [x 2^e, (y + 1) 2^e), for 0 < x <= y,
+    or None where it may differ between them.  It is the same for all of
+    them where x and y have the same bit length, at least 53, and the same
+    top 53 bits."""
+    shift = x.bit_length() - 53
+    if shift >= 0 and x >> shift == y >> shift:
+        return math.log2(x >> shift) + (shift + e)
+    return None
+
+
+def _at_most(starts: Sequence[int], j: int, count: int) -> bool:
+    """Whether ``starts[j] <= count``, for count >= 0."""
+    if isinstance(starts, _LadderStarts):
+        e, m, w = starts.bound(j)
+        q = (count >> e) - m
+        if q < 0:  # count < m 2^e
+            return False
+        if q >= w:  # (m + w) 2^e <= count
+            return True
+    return starts[j] <= count
+
+
+def _split(starts: Sequence[int], count: int) -> tuple[int, float]:
+    """The last level i with ``starts[i] <= count``, for count >= 0, which
+    holds entry count + 1, and ``log2_int(count - starts[i])``, or -inf where
+    they are equal."""
+    if not isinstance(starts, _LadderStarts):
+        i = bisect_right(starts, count) - 1
+        start = starts[i]
+    else:
+        i = bisect_right(starts.lo, starts.pack(count)) - 1  # the last bound <= count
+        e, start, w = starts.bound(i)
+        if e:
+            q = (count >> e) - start
+            if q > w:  # count - starts[i] lies in [(q - w) 2^e, (q + 1) 2^e)
+                log2 = _log2_between(q - w, q, e)
+                if log2 is not None:
+                    return i, log2
+            i = bisect_right(range(i + 1), count, key=starts.__getitem__) - 1
+            start = starts[i]
+    kept = count - start
+    return i, log2_int(kept) if kept else NEG_INF
+
+
+def _log2_gap(starts: Sequence[int], j: int, count: int) -> float:
+    """``log2_int(abs(count - starts[j]))``, or -inf where they are equal."""
+    if isinstance(starts, _LadderStarts):
+        e, m, w = starts.bound(j)
+        q, log2 = (count >> e) - m, None
+        if q > w:  # count - starts[j] lies in [(q - w) 2^e, (q + 1) 2^e)
+            log2 = _log2_between(q - w, q, e)
+        elif q < -1:  # starts[j] - count lies in [(-q - 1) 2^e, (w - q + 1) 2^e)
+            log2 = _log2_between(-q - 1, w - q, e)
+        if log2 is not None:
+            return log2
+        start = starts[j] if e else m  # with e = 0 the bound is exact
+    else:
+        start = starts[j]
+    gap = abs(count - start)
+    return log2_int(gap) if gap else NEG_INF
+
+
+def _covers(ls: LeveledSpectrum, count: int) -> bool:
+    """Whether ``count <= ls.total_count``, for count >= 0."""
+    starts = ls.starts
+    if isinstance(starts, _LadderStarts):
+        e = starts.lo[-1] >> starts.bits
+        if e and count.bit_length() < starts.bits + e:
+            return True  # count < 2^(bits - 1 + e), at most the bound of the total
+    return not _at_most(starts, len(starts) - 1, count - 1)
+
+
+def _total_bits(ls: LeveledSpectrum) -> int:
+    """``ls.total_count.bit_length()``."""
+    # log2_int of the total is its bit length less one, or the bit length
+    # itself where its top 53 bits round up to 2^53.
+    low = math.floor(_log2_gap(ls.starts, ls.num_levels, 0))
+    return low + _covers(ls, 1 << low)
 
 
 def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
@@ -218,8 +353,11 @@ class LeveledSpectrum:
     ``starts`` holds exact counts with a leading 0: level ``i`` covers the
     sorted entries ``starts[i] .. starts[i+1] - 1``, so its multiplicity is
     ``starts[i+1] - starts[i]`` and ``starts[-1]`` is the total count.  It
-    is a tuple, except for a head whose early starts are counted when read
-    (see the module docstring).
+    is a tuple, except for a partial spectrum or a head, whose ladder holds
+    certified bounds on the starts (see the module docstring).  Counting is
+    exact where an integer is output or a bound cannot decide: every start
+    read from ``starts`` is counted exactly, from level 0 up, on first read,
+    while the queries below read the bounds where they decide.
     ``prefix_log2_mass[i]`` is log2 of the total eigenvalue mass of levels
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
@@ -227,7 +365,7 @@ class LeveledSpectrum:
     One function, ``_assemble``, computes these columns for every build.
     Instances are immutable, their array columns sealed read-only on
     construction; every query below is pure and safe to call concurrently
-    (a head that counts a start when read keeps it, which changes no answer).
+    (a ladder spectrum keeps each start it counts, which changes no answer).
 
     A *partial* spectrum holds only the heaviest levels: their ``starts``,
     ``log2_eigenvalues`` and ``prefix_log2_mass``, with ``None`` for the
@@ -276,7 +414,7 @@ def _require_reach(ls: LeveledSpectrum, count: int, column: Optional[np.ndarray]
     """Raise ``CountExceedsTotal`` unless ``ls`` answers a read of ``column``
     at ``count``: the column must be built, and only a complete spectrum
     answers counts past its total."""
-    if column is None or (count > ls.total_count and not ls.complete):
+    if column is None or not (ls.complete or _covers(ls, count)):
         raise CountExceedsTotal(f"a read past the {ls.num_levels} built levels of the spectrum")
 
 
@@ -411,7 +549,7 @@ def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
     cannot continue (where :func:`power_spectrum` builds in full), becomes
     the full build.
     """
-    if ls.complete or count <= ls.total_count:
+    if ls.complete or _covers(ls, count):
         return ls
     if ls.suffix_log2_mass is None:
         longer = _leading_levels(ls.base, ls.copies, count, ls)
@@ -429,61 +567,77 @@ def _leading_levels(
     :func:`power_spectrum` builds in full.
 
     Level k holds the C(n, k) entries with k factors of the smaller value,
-    and the ladder steps C(n, k) = C(n, k - 1) * (n - k + 1) // k exactly.
-    The head's cut reads the level masses as the ladder makes them (see
-    the module docstring).  In place of the full build's rank^n count check,
-    the last count must equal ``math.comb(n, k)``.
+    and the ladder steps C(n, k) = C(n, k - 1) * (n - k + 1) / k on
+    certified counts (see the module docstring).  The head's cut reads the
+    level masses as the ladder makes them.  In place of the full build's
+    rank^n count check, ``math.comb(n, k)`` must lie in the interval of the
+    last count.
     """
     head = count is _HEAD
     if not head and count >= 1 << n:
         return None
-    # The eigenvalues of every level, so that the ladder order is known to
-    # be the order the full build sorts them into, not only along the prefix.
-    e = np.arange(n, -1, -1, dtype=np.int64)
-    eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
-    if not np.all(eigs[1:] < eigs[:-1]):
-        return None
-    starts, prefix = [0], eigs[:0]
-    if built is not None:
-        starts, prefix = list(built.starts), built.prefix_log2_mass
-    k = len(starts) - 1
-    mult = starts[-1] - starts[-2] if k else 0
-    # log2 of each count as it is made, so that no count is held twice.
+    la, lb = (math.log2(p) for p in sv.probs)
+    if not la - lb > 2.0**-49 * n * -lb:
+        # The bound does not show that the float eigenvalues strictly
+        # decrease along the ladder, so check every one of them.
+        e = np.arange(n, -1, -1, dtype=np.int64)
+        eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
+        if not np.all(eigs[1:] < eigs[:-1]):
+            return None
+    old = built.starts if built else _LadderStarts(n, _MANTISSA, [0], {0: (0, 1)})
+    starts = _LadderStarts(n, old.bits, list(old.lo), old.known)
+    prefix = built.prefix_log2_mass if built else np.empty(0)
+    ce, cm, sm = old.last or (0, 1, 0)  # from level 0: its count 1, and start 0
+    bits, lo = starts.bits, starts.lo
+    k = len(lo) - 1
+    # A count with ce > 0 has exactly bits bits; its interval's ends share the
+    # top 53 where adding 4k to the low ``top`` bits carries nothing.
+    top = bits - 53
+    low = (1 << top) - 1
+    if not head:
+        below = count - 1
+        # A start bound at most below // 2 is below count with its error:
+        # the error is less than the bound.
+        half = starts.pack(below >> 1)
     logs: list[float] = []
     peak, tail = NEG_INF, None
-    # Before a head's band, starts holds only the next level's start, and
-    # knots the (start, count) of the levels whose start is held.
-    knots: dict[int, tuple[int, int]] = {}
     ratio = sv.probs[1] / sv.probs[0]
-    while head or starts[-1] < count:
+    log2, last, append, hold = math.log2, n // 2, logs.append, lo.append
+    while head or lo[-1] <= half or _at_most(starts, k, below):
+        up = n - k + 1
         if head and k:
-            r = (n - k + 1) / k * ratio
-            mass = logs[-1] + eigs.item(k - 1)
+            r = up / k * ratio
+            mass = logs[-1] + (up * la + (k - 1) * lb + 0.0)
             peak = max(peak, mass)
             if 0.0 < r < 1.0:  # r = 0 only past level n, at n = 0
-                tail = mass + math.log2(r / (1.0 - r))
+                tail = mass + log2(r / (1.0 - r))
                 if tail <= peak - _HEAD_CUT:
                     break
-        if k > n // 2:
+        if k > last:
             return None
-        mult = mult * (n - k + 1) // k if k else 1
-        logs.append(log2_int(mult))
-        if head and len(starts) == 1 and logs[-1] + eigs.item(k) < -_HEAD_BAND:
-            if k % _HEAD_KNOT == 0 or mult.bit_length() <= _HEAD_SMALL:
-                knots[k] = starts[0], mult
-            starts[0] += mult
+        if k:  # the count cm 2^ce of level k - 1 steps to level k
+            q = cm * up // k
+            cut = q.bit_length() - bits
+            if cut > 0:
+                cm, ce, sm = q >> cut, ce + cut, sm >> cut
+            else:
+                cm = q
+        if not ce:
+            append(log2_int(cm))
+        elif (cm & low) + 4 * k <= low:
+            append(log2(cm >> top) + (top + ce))
         else:
-            starts.append(starts[-1] + mult)
+            append(log2_int(starts.exact(k)[1]))
+        sm += cm  # the start of level k + 1, at the count's exponent
+        cut = sm.bit_length() - bits
+        hold((ce + cut) << bits | sm >> cut if cut > 0 else ce << bits | sm)
         k += 1
-    if mult != math.comb(n, k - 1):
+    if not cm << ce <= math.comb(n, k - 1) <= cm + (4 * (k - 1) if ce else 0) << ce:
         raise ArithmeticError("ladder count differs from the binomial count")
-    log2_counts = np.array(logs, dtype=np.float64)
-    first = k + 1 - len(starts)
-    if len(knots) == first:  # every start before the band is held: a plain tuple
-        kept = (*(start for start, _ in knots.values()), *starts)
-    else:
-        kept = _HeadStarts(n, knots, tuple(starts), first)
-    return _assemble(sv, n, kept, eigs[:k].copy(), log2_counts, prefix, tail)
+    starts.last = ce, cm, sm
+    e = np.arange(n, n - k, -1, dtype=np.int64)
+    eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
+    return _assemble(sv, n, starts, eigs, np.array(logs, dtype=np.float64), prefix, tail)
 
 
 def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
@@ -574,21 +728,20 @@ def _log2_split(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if whole is None or count > ls.total_count:
-        _require_reach(ls, count, whole)
-        count = ls.total_count
     starts = ls.starts
-    i = bisect_right(starts, count) - 1  # the level that holds entry count + 1
-    kept = count - starts[i]  # entries of level i among the top count
-    if kept == 0:
+    i, log2_kept = _split(starts, count)  # log2 of the entries of level i among the top count
+    if whole is None or (i == ls.num_levels and log2_kept != NEG_INF):
+        _require_reach(ls, count, whole)
+        log2_kept = NEG_INF  # a complete spectrum clamps to its total
+    if log2_kept == NEG_INF:
         if tail:
             return float(whole[i])
         return float(whole[i - 1]) if i else NEG_INF
     if tail:
-        rest, piece = whole[i + 1], starts[i + 1] - count
+        rest, log2_piece = whole[i + 1], _log2_gap(starts, i + 1, count)
     else:
-        rest, piece = (whole[i - 1] if i else NEG_INF), kept
-    partial = log2_int(piece) + weight * ls.log2_eigenvalues[i]
+        rest, log2_piece = (whole[i - 1] if i else NEG_INF), log2_kept
+    partial = log2_piece + weight * ls.log2_eigenvalues[i]
     return float(np.logaddexp2(rest, partial))
 
 

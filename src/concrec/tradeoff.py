@@ -54,6 +54,12 @@ over (m0, m_hi] only.  Everything the search reads then lies within the
 head.  Where the check fails, or the head does not reach 2^m0, the first
 read past the head grows it into the full spectrum, once for both errors at
 N = n, with the same result.
+
+The head and the partial N-copy spectra hold certified counts, not exact
+ones (see ``concrec.spectrum``), and the search reads them only through
+that module's certified reads, with concentration errors from the private
+``conversion._concentration``, which leaves out the exact cut J.  So it
+counts exactly only where a bound cannot decide a read.
 """
 
 from __future__ import annotations
@@ -64,9 +70,11 @@ from functools import cache
 from typing import Callable, Iterable, Sequence, Union
 
 from .asymptotics import nmax_approx, profile
-from .conversion import concentration_fidelity, dilution_fidelity
+from .conversion import _concentration, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
-from .spectrum import _HEAD, LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
+from .spectrum import (
+    _HEAD, LeveledSpectrum, SchmidtVector, _total_bits, extend_spectrum, power_spectrum
+)
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,7 @@ def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], Callable[[int]
         return ls
 
     return (
-        cache(lambda m: concentration_fidelity(grown(m), 1 << m).error),
+        cache(lambda m: _concentration(grown(m), 1 << m)[0].error),
         cache(lambda m: dilution_fidelity(grown(m), 1 << m).error),
     )
 
@@ -128,7 +136,7 @@ def _gmcre(
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     hi = m_cap
     if not spec_n.complete:  # a head: see the module docstring
-        m_hi = spec_n.total_count.bit_length() - 1
+        m_hi = _total_bits(spec_n) - 1
         if m0 < m_hi < m_cap and conc(m_hi) > bound:
             hi = m_hi
     last = hi - bisect_left(range(hi, m0, -1), True, key=lambda m: conc(m) <= bound)

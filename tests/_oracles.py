@@ -9,16 +9,19 @@ brute-force oracle share them.  Two references are the exception.
 one Python tuple per type class, as the reference for the library's
 columnar build.  ``full_scan_tradeoff`` runs the library's own per-m
 conversions over every EPR count, as the reference for the windowed search
-over m.
+over m.  ``short_mantissa`` is no reference: it forces the exact counting
+that the certified ladder counts fall back on.
 """
 
 import bisect
+import contextlib
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+import pytest
 
-from concrec import TradeoffResult, power_spectrum
+from concrec import TradeoffResult, power_spectrum, spectrum
 from concrec.spectrum import NEG_INF, LeveledSpectrum, _distinct_groups, log2_int
 from concrec.conversion import (
     concentration_fidelity,
@@ -246,3 +249,31 @@ def best_feasible_grid_value(prefix_p: np.ndarray, objectives, prefixes) -> floa
     """Best grid objective among vectors majorizing the given prefix sums."""
     feasible = np.all(prefixes >= prefix_p - 1e-12, axis=1)
     return float(objectives[feasible].max())
+
+
+@contextlib.contextmanager
+def short_mantissa(bits: int = 60):
+    """Rank-2 ladders built inside run on a ``bits``-bit mantissa.  At 60
+    bits their bounds leave the top 53 bits of most counts undecided, so
+    those reads count exactly.  Yields the levels counted exactly, one entry
+    per exact read."""
+    counted = []
+    real = spectrum._LadderStarts.exact
+
+    def exact(self, i):
+        counted.append(i)
+        return real(self, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_MANTISSA", bits)
+        mp.setattr(spectrum._LadderStarts, "exact", exact)
+        yield counted
+
+
+def must_count(ls) -> bool:
+    """Whether a 60-bit ladder that built ``ls`` certainly counted a level
+    exactly: ``ls`` is incomplete, so a ladder built it, and it has a level
+    k >= 32 of 2^61 entries or more, whose count's bound spans 4k >= 2^7
+    units past the top 53 of its 60 bits."""
+    k = ls.num_levels - 1
+    return not ls.complete and k >= 32 and math.comb(ls.copies, k) >> 61 > 0

@@ -23,16 +23,21 @@ from _oracles import (
 )
 
 
+def _flatten_cut(ls, L):
+    """The cut J: the start of the flatten cut's level."""
+    return ls.starts[_flatten_boundary(ls, L)]
+
+
 class TestFlattenIndex:
     def test_single_copy_examples(self):
-        assert _flatten_boundary(power_spectrum(make_schmidt([0.9, 0.1]), 1), 2) == 1
-        assert _flatten_boundary(power_spectrum(make_schmidt([0.5, 0.5]), 1), 2) == 0
-        assert _flatten_boundary(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2) == 0
+        assert _flatten_cut(power_spectrum(make_schmidt([0.9, 0.1]), 1), 2) == 1
+        assert _flatten_cut(power_spectrum(make_schmidt([0.5, 0.5]), 1), 2) == 0
+        assert _flatten_cut(power_spectrum(make_schmidt([0.4, 0.3, 0.3]), 1), 2) == 0
 
     def test_invalid_dimension(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 1)
         with pytest.raises(InvalidDimension):
-            _flatten_boundary(ls, 0)
+            _flatten_cut(ls, 0)
         with pytest.raises(InvalidDimension):
             dilution_fidelity(ls, 0)
         with pytest.raises(InvalidDimension):
@@ -45,7 +50,7 @@ class TestFlattenIndex:
             ls = power_spectrum(sv, n)
             dense = dense_power_spectrum(sv.probs, n)
             for L in [1, 2, 3, 5, 8, 64, 1 << n, (1 << n) + 1, 1 << (n + 1)]:
-                assert _flatten_boundary(ls, L) == dense_flatten_index(dense, L), (n, L)
+                assert _flatten_cut(ls, L) == dense_flatten_index(dense, L), (n, L)
 
     def test_matches_dense_scan_qutrit(self):
         for probs in ([0.5, 0.3, 0.2], [0.5, 0.25, 0.25]):
@@ -54,11 +59,11 @@ class TestFlattenIndex:
                 ls = power_spectrum(sv, n)
                 dense = dense_power_spectrum(sv.probs, n)
                 for L in [1, 2, 4, 7, 16, 81, 3**n, 3**n + 5]:
-                    assert _flatten_boundary(ls, L) == dense_flatten_index(dense, L), (n, L)
+                    assert _flatten_cut(ls, L) == dense_flatten_index(dense, L), (n, L)
 
     def test_huge_dimension(self):
         ls = power_spectrum(make_schmidt([0.9, 0.1]), 40)
-        J = _flatten_boundary(ls, 1 << 200)
+        J = _flatten_cut(ls, 1 << 200)
         assert J == ls.total_count  # everything kept, flat part beyond spectrum
 
     def test_binary_search_matches_linear_boundary_scan_at_scale(self):
@@ -85,7 +90,7 @@ class TestFlattenIndex:
                     expected = cut
                     break
             assert expected is not None
-            assert _flatten_boundary(ls, L) == expected, m
+            assert _flatten_cut(ls, L) == expected, m
 
     @pytest.mark.parametrize(
         "probs, n",
@@ -111,7 +116,7 @@ class TestFlattenIndex:
                 True,
                 key=lambda i: float(suffix[i]) - log2_int(L - starts[i]) >= float(eigs[i]),
             )]
-            assert _flatten_boundary(ls, L) == expected, L
+            assert _flatten_cut(ls, L) == expected, L
 
     def test_tie_insensitivity(self):
         # When the flattened tail average exactly equals the next weight,
@@ -120,7 +125,7 @@ class TestFlattenIndex:
         for probs, L in ([0.4, 0.3, 0.3], 3), ([0.4, 0.2, 0.2, 0.2], 4), ([0.5, 0.25, 0.25], 3):
             sv = make_schmidt(probs)
             ls = power_spectrum(sv, 1)
-            J = _flatten_boundary(ls, L)
+            J = _flatten_cut(ls, L)
             dense = np.asarray(sv.probs)
 
             def eta_value(cut: int) -> float:

@@ -32,7 +32,7 @@ from concrec.errors import (
 from concrec import spectrum
 from concrec.spectrum import _HEAD, NEG_INF, _assemble, _build_bytes
 
-from _oracles import dense_power_spectrum, reference_power_spectrum
+from _oracles import dense_power_spectrum, must_count, reference_power_spectrum, short_mantissa
 
 
 def _mults(ls):
@@ -405,36 +405,42 @@ def partial_cases(draw):
 @example((make_schmidt([0.25, 0.75]), 31, 2**15, [2**30, 2**31]))
 @example((make_schmidt([0.5 - 1e-14, 0.5 + 1e-14]), 400, 2**40, [2**100]))
 def test_partial_build_equals_the_full_builds_head(case):
+    # At the library's mantissa, and at 60 bits, where the certified counts
+    # leave most reads undecided and count them exactly.
     sv, n, count, extensions = case
     full = power_spectrum(sv, n)
-    ls = power_spectrum(sv, n, count)
-    if sv.probs[0] - sv.probs[1] > 1e-3 and 2 * count <= 1 << n:
-        assert not ls.complete
-    if not ls.complete:
-        assert ls.starts[-2] < count <= ls.starts[-1]  # built no further than needed
     _assert_read_rule(full)
-    for target in [count, *extensions]:
-        ls = extend_spectrum(ls, target)
-        k = ls.num_levels
-        assert ls.total_count >= target
-        assert ls.starts == full.starts[: k + 1]
-        for column in ("log2_eigenvalues", "prefix_log2_mass"):
-            assert getattr(ls, column).tobytes() == getattr(full, column)[:k].tobytes(), column
-        _assert_read_rule(ls)
-        if ls.complete:
-            continue
-        assert prefix_mass(ls, target) == prefix_mass(full, target)
-        past = ls.total_count + 1
-        for query in (
-            lambda: log2_prefix_mass(ls, past),
-            lambda: prefix_mass(ls, past),
-            lambda: dilution_fidelity(ls, past),
-            lambda: log2_tail_mass(ls, 0),
-            lambda: log2_prefix_sqrt_mass(ls, 1),
-            lambda: concentration_fidelity(ls, 2),
-        ):
-            with pytest.raises(CountExceedsTotal):
-                query()
+    for bits in (spectrum._MANTISSA, 60):
+        with short_mantissa(bits) as counted:
+            ls = power_spectrum(sv, n, count)
+            if bits == 60 and must_count(ls):
+                assert counted
+            if sv.probs[0] - sv.probs[1] > 1e-3 and 2 * count <= 1 << n:
+                assert not ls.complete
+            if not ls.complete:
+                assert ls.starts[-2] < count <= ls.starts[-1]  # built no further than needed
+            for target in [count, *extensions]:
+                ls = extend_spectrum(ls, target)
+                k = ls.num_levels
+                assert ls.total_count >= target
+                assert tuple(ls.starts) == full.starts[: k + 1]
+                for column in ("log2_eigenvalues", "prefix_log2_mass"):
+                    assert getattr(ls, column).tobytes() == getattr(full, column)[:k].tobytes(), column
+                _assert_read_rule(ls)
+                if ls.complete:
+                    continue
+                assert prefix_mass(ls, target) == prefix_mass(full, target)
+                past = ls.total_count + 1
+                for query in (
+                    lambda: log2_prefix_mass(ls, past),
+                    lambda: prefix_mass(ls, past),
+                    lambda: dilution_fidelity(ls, past),
+                    lambda: log2_tail_mass(ls, 0),
+                    lambda: log2_prefix_sqrt_mass(ls, 1),
+                    lambda: concentration_fidelity(ls, 2),
+                ):
+                    with pytest.raises(CountExceedsTotal):
+                        query()
 
 
 @st.composite
@@ -454,15 +460,24 @@ def head_cases(draw):
 @example((make_schmidt([0.5 - 1e-14, 0.5 + 1e-14]), 3000))  # ladder not decreasing
 @example((make_schmidt([1e-300, 1.0 - 1e-300]), 3000))  # level 0 holds all the mass: full
 def test_head_equals_the_full_build_where_it_answers(case):
+    # At the library's mantissa, and at 60 bits, where the certified counts
+    # leave most reads undecided and count them exactly.
     sv, n = case
     full = power_spectrum(sv, n)
-    head = power_spectrum(sv, n, _HEAD)
-    k = head.num_levels
-    assert head.starts == full.starts[: k + 1]
+    _assert_read_rule(full)
+    for bits in (spectrum._MANTISSA, 60):
+        with short_mantissa(bits) as counted:
+            head = power_spectrum(sv, n, _HEAD)
+            if bits == 60 and must_count(head):
+                assert counted
+            _assert_head_answers_as_the_full_build(head, full)
+
+
+def _assert_head_answers_as_the_full_build(head, full):
+    k, n = head.num_levels, head.copies
     for column in ("log2_eigenvalues", "prefix_log2_mass", "prefix_log2_sqrt_mass"):
         assert getattr(head, column).tobytes() == getattr(full, column)[:k].tobytes(), column
     assert head.suffix_log2_mass.tobytes() == full.suffix_log2_mass[: k + 1].tobytes()
-    _assert_read_rule(full)
     _assert_read_rule(head)
     if head.complete:
         assert k == full.num_levels
@@ -485,6 +500,7 @@ def test_head_equals_the_full_build_where_it_answers(case):
     ):
         with pytest.raises(CountExceedsTotal):
             query()
+    assert tuple(head.starts) == full.starts[: k + 1]
 
 
 def test_heads_are_short_past_the_typical_set():
@@ -498,21 +514,22 @@ def test_heads_are_short_past_the_typical_set():
 
 @pytest.mark.parametrize("p, n", [(0.1, 3000), (0.25, 3000), (0.02, 2000), (0.2, 700)])
 def test_thinned_head_starts_equal_the_full_builds(p, n):
-    # Small counts are held whatever the knot spacing, so at n <= 4096 a head
-    # keeps a plain tuple.  With that limit lifted, the levels before the band
-    # keep only a start every 4 levels; every other start is counted when read.
+    # On a 60-bit mantissa the head's certified counts leave most reads
+    # undecided, so its build and reads count many starts exactly; any start
+    # read through ``starts`` is counted from level 0 up when first read.
     sv = make_schmidt([p, 1.0 - p])
     full = power_spectrum(sv, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_HEAD_SMALL", 0)
-        mp.setattr(spectrum, "_HEAD_KNOT", 4)
+    with short_mantissa() as counted:
         head = power_spectrum(sv, n, _HEAD)
+        assert counted
+        total = head.total_count
+        for count in {1, total // 3, total // 2, total}:
+            assert log2_tail_mass(head, count) == log2_tail_mass(full, count)
+            assert prefix_mass(head, count) == prefix_mass(full, count)
+            assert concentration_fidelity(head, count) == concentration_fidelity(full, count)
         fresh = power_spectrum(sv, n, _HEAD)
-        # Grown past its total, a head becomes the full build.  Continuing
-        # its ladder instead would count every start that it leaves out.
-        known = dict(fresh.starts._known)
+        # Grown past its total, a head becomes the full build.
         grown = extend_spectrum(fresh, fresh.total_count + 1)
-    assert fresh.starts._known == known
     assert grown.complete and grown.starts == full.starts
     for column in (
         "log2_eigenvalues",
@@ -521,40 +538,34 @@ def test_thinned_head_starts_equal_the_full_builds(p, n):
         "suffix_log2_mass",
     ):
         assert getattr(grown, column).tobytes() == getattr(full, column).tobytes(), column
-    assert type(head.starts) is not tuple
     k = head.num_levels
     expected = full.starts[: k + 1]
     assert len(head.starts) == k + 1
-    # Read in a shuffled order, so that starts are counted up and down from
-    # the starts read before them.
+    for j, start in enumerate(expected):  # each exact start lies in its bound
+        e, m, w = head.starts.bound(j)
+        assert m << e <= start <= (m + w) << e, j
+    # Read in a shuffled order, so that starts are counted both past and
+    # within the levels counted before them.
     order = list(range(k + 1))
     np.random.default_rng(n).shuffle(order)
-    assert [head.starts[i] for i in order] == [expected[i] for i in order]
-    assert tuple(fresh.starts) == expected
+    assert [fresh.starts[i] for i in order] == [expected[i] for i in order]
+    assert tuple(head.starts) == expected
     assert head.starts[-1] == head.total_count == expected[-1]
     assert head.starts[-k - 1] == 0
-    starts = tuple(head.starts)
-    assert starts[1:] == expected[1:] and starts[::7] == expected[::7]
-    assert tuple(fresh.starts[: k // 2]) == expected[: k // 2]
+    assert tuple(head.starts[: k // 2]) == expected[: k // 2]
+    assert head.starts[::7] == expected[::7] and head.starts[1:-1] == expected[1:-1]
     for index in (k + 1, -k - 2):
         with pytest.raises(IndexError):
             head.starts[index]
-    total = head.total_count
-    for count in {1, total // 3, total // 2, total}:
-        assert log2_tail_mass(head, count) == log2_tail_mass(full, count)
-        assert prefix_mass(head, count) == prefix_mass(full, count)
-        assert concentration_fidelity(head, count) == concentration_fidelity(full, count)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.25])
-def test_large_heads_hold_few_exact_starts(p):
-    # A head that held every start from level 0 until past the mass peak
-    # held 17.2 MB at p = 0.25 and n = 3e4, and 1.5 MB at p = 0.05, under
-    # tracemalloc; it peaked at 20.6 and 3.3 MB.  Now 5.3 and 1.2 MB: only
-    # the levels of mass 2^-40 or more, and a few before them, keep their
-    # exact starts.  The ladder reads each level's eigenvalue from the array
-    # as it reaches the level; a list of all of them (1 MB at n = 3e4) raised
-    # the peaks from 7.7 and 2.1 MB to 8.7 and 3.1 MB.
+def test_large_heads_hold_no_big_integers(p):
+    # A head holds its certified bounds, about 85 bytes per level, and no
+    # exact count: 0.16 and 0.68 MB at n = 3e4 for p = 0.05 and 0.25 under
+    # tracemalloc, peaking at 0.32 and 1.30 MB.  With exact starts from the
+    # first level of mass 2^-40 on, it held 1.22 and 5.30 MB; with every
+    # start, 1.5 and 17.2 MB.
     sv = make_schmidt([p, 1.0 - p])
     tracemalloc.start()
     try:
@@ -562,9 +573,68 @@ def test_large_heads_hold_few_exact_starts(p):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert type(head.starts) is not tuple
-    peak_bound = {0.05: 2.6 * 2**20, 0.25: 11 * 2**20}[p]
-    assert retained < 7 * 2**20 and peak < peak_bound, (retained, peak)
+    assert not head.complete and len(head.starts.known) == 1
+    bound = {0.05: 0.35 * 2**20, 0.25: 1.4 * 2**20}[p]
+    assert retained < bound and peak < 2 * bound, (retained, peak)
+
+
+def test_a_large_head_equals_the_exact_ladder():
+    # At n = 1e5 the counts reach 35,000 bits.  The head's certified log2
+    # counts give the prefix columns of the exact counts bit for bit, and
+    # the starts read through ``starts`` are the exact ones.  Starts are
+    # sampled from the first third of the levels: reading one counts every
+    # level below it, and holds each.
+    sv, n = make_schmidt([0.1, 0.9]), 100_000
+    with short_mantissa(spectrum._MANTISSA) as counted:
+        head = power_spectrum(sv, n, _HEAD)
+    assert not counted and not head.complete
+    k = head.num_levels
+    sample = set(np.random.default_rng(5).integers(0, k // 3, 40).tolist())
+    logs, expected, start, count = [], {}, 0, 1
+    for level in range(k):
+        if level in sample:
+            expected[level] = start
+        logs.append(log2_int(count))
+        start += count
+        count = count * (n - level) // (level + 1)
+    logs = np.array(logs)
+    for column, weight in (("prefix_log2_mass", 1.0), ("prefix_log2_sqrt_mass", 0.5)):
+        exact = np.logaddexp2.accumulate(logs + weight * head.log2_eigenvalues)
+        assert exact.tobytes() == getattr(head, column).tobytes(), column
+    assert {i: head.starts[i] for i in sample} == expected
+
+
+def test_ladders_compute_only_the_eigenvalues_they_build(monkeypatch):
+    # Where log2(a / b) > 2^-49 n |log2 b|, rounding cannot reorder the
+    # float eigenvalues along the ladder.  Within rounding of p = 1/2 that
+    # fails, every eigenvalue is checked, and they do not strictly decrease,
+    # so the ladder builds in full.
+    rows = []
+    real = spectrum._log2_eigs
+
+    def recording(exps, values):
+        rows.append(len(exps))
+        return real(exps, values)
+
+    monkeypatch.setattr(spectrum, "_log2_eigs", recording)
+    ls = power_spectrum(make_schmidt([0.1, 0.9]), 3000, 1 << 1000)
+    assert rows == [ls.num_levels] and not ls.complete
+    near = make_schmidt([0.5 - 1e-14, 0.5 + 1e-14])
+    for count, n in ((1 << 40, 400), (_HEAD, 3000)):
+        rows.clear()
+        assert power_spectrum(near, n, count).complete
+        assert rows[0] == n + 1
+    checked = 0
+    for p in (0.5 - 1e-9, 0.5 - 1e-11, 0.49, 0.3, 1e-300):
+        probs = make_schmidt([p, 1.0 - p]).probs
+        a, b = (math.log2(x) for x in probs)
+        for n in (10, 1000, 60000):
+            if a - b > 2.0**-49 * n * -b:
+                e = np.arange(n, -1, -1)
+                eigs = real(np.column_stack((e, n - e)), probs)
+                assert np.all(eigs[1:] < eigs[:-1]), (p, n)
+                checked += 1
+    assert checked == 14
 
 
 @pytest.fixture(scope="module")
@@ -710,17 +780,15 @@ def test_concurrent_queries_match_serial():
 
 
 def test_concurrent_reads_of_counted_starts():
-    # A head keeps each start it counts; threads reading the same unread
-    # starts may count them at once, and must all see the exact values.
+    # A head counts each start when first read and keeps it; threads reading
+    # the same unread starts may count them at once, and must all see the
+    # exact values.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     sv = make_schmidt([0.25, 0.75])
     expected = power_spectrum(sv, 3000).starts
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_HEAD_SMALL", 0)
-        mp.setattr(spectrum, "_HEAD_KNOT", 16)
-        head = power_spectrum(sv, 3000, _HEAD)
+    head = power_spectrum(sv, 3000, _HEAD)
     indices = list(range(len(head.starts))) * 2
     np.random.default_rng(3).shuffle(indices)
     interval = sys.getswitchinterval()

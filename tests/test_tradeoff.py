@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -30,7 +31,7 @@ from concrec.errors import InvalidEpsilon, InvalidRange
 from concrec import spectrum
 from concrec.spectrum import _HEAD
 
-from _oracles import dense_delta, exact_qubit_errors, full_scan_tradeoff
+from _oracles import dense_delta, exact_qubit_errors, full_scan_tradeoff, short_mantissa
 
 
 class TestGeneralizedMcre:
@@ -213,7 +214,7 @@ class TestRecoverablePoints:
             recoverable_points(sv, 12, [0.5, 0.2, 0.5, 1e-13])
             mcre(sv, 400)
             recoverable_points(sv, 400, [0.5, 0.2])
-            monkeypatch.setattr(spectrum, "_HEAD_SMALL", 0)  # counted starts
+            monkeypatch.setattr(spectrum, "_MANTISSA", 60)  # exact counts
             mcre(sv, 401)
             alive = [ref for ref in built if ref() is not None]
         finally:
@@ -268,20 +269,44 @@ def test_head_and_full_spectrum_give_equal_results(p, n, share, grid):
 
 @pytest.mark.parametrize("p", [0.1, 0.25])
 def test_thinned_heads_give_equal_results(p):
-    # Below 4097-bit counts a head holds every start, so at n = 2000 it keeps
-    # a plain tuple.  With that limit lifted, the search reads starts that the
-    # head counts from a knot every 4 levels.
+    # On a 60-bit mantissa the certified counts leave most reads undecided,
+    # so the search reads many counts exactly.
     sv, n, grid = make_schmidt([p, 1.0 - p]), 2000, [0.1, 0.5, 0.9]
 
     def results():
         return mcre(sv, n), generalized_mcre(sv, n, 1500), recoverable_points(sv, n, grid)
 
     plain = results()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_HEAD_SMALL", 0)
-        mp.setattr(spectrum, "_HEAD_KNOT", 4)
-        assert type(power_spectrum(sv, n, _HEAD).starts) is not tuple
+    with short_mantissa() as counted:
         assert results() == plain
+    assert counted
+
+
+@pytest.mark.parametrize(
+    "p, n, expected",
+    [
+        (0.05, 30000, "TradeoffResult(delta=0.9705384644062791, optimal_m=8577, "
+         "concentration_error=0.4563034227300933, recovery_error=0.5142350416761858, n=30000, N=30000)"),
+        (0.25, 30000, "TradeoffResult(delta=0.9625355346954055, optimal_m=24325, "
+         "concentration_error=0.44419293349744304, recovery_error=0.5183426011979625, n=30000, N=30000)"),
+        (0.1, 3000, "823bb06cc946b39a2e2f69ff227d9741fcf8725babb0f9c43ee75d1c34ccfca9"),
+    ],
+)
+def test_the_search_counts_no_start_exactly(monkeypatch, p, n, expected):
+    # The certified counts decide every read of these searches: with exact
+    # counting made to raise, they return the results that the exact
+    # big-integer ladder gave.  At n = 3000 the search is fig4's, over its
+    # grid, pinned by SHA-256.
+    def refused(self, i):
+        raise AssertionError(f"level {i} counted exactly")
+
+    monkeypatch.setattr(spectrum._LadderStarts, "exact", refused)
+    sv = make_schmidt([p, 1.0 - p])
+    if n == 3000:
+        points = recoverable_points(sv, n, [0.05 * i for i in range(1, 20)])
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == expected
+    else:
+        assert repr(mcre(sv, n)) == expected
 
 
 @pytest.mark.parametrize("levels", [300, 315])
@@ -398,14 +423,14 @@ def test_no_concentration_error_is_read_below_the_window(monkeypatch, N):
     )
     first = next(m for m in range(1, m0 + 1) if dilution_fidelity(spec_N, 1 << m).error <= bound)
     assert first > 1
-    real = tradeoff.concentration_fidelity
+    real = tradeoff._concentration
 
     def guarded(ls, L):
         if L < 1 << first:
             raise ArithmeticError(f"concentration read below the window: L = {L}")
         return real(ls, L)
 
-    monkeypatch.setattr(tradeoff, "concentration_fidelity", guarded)
+    monkeypatch.setattr(tradeoff, "_concentration", guarded)
     assert generalized_mcre(sv, n, N) == expected
 
 
@@ -454,13 +479,13 @@ def test_window_equals_full_scan_for_qubits_at_large_n():
 
 def test_window_converts_each_m_once(monkeypatch):
     targets = []
-    real = tradeoff.concentration_fidelity
+    real = tradeoff._concentration
 
     def recording(ls, L):
         targets.append(L)
         return real(ls, L)
 
-    monkeypatch.setattr(tradeoff, "concentration_fidelity", recording)
+    monkeypatch.setattr(tradeoff, "_concentration", recording)
     mcre(make_schmidt([0.1, 0.9]), 3000)
     assert len(targets) == len(set(targets))
     assert len(targets) < 3000 // 10
@@ -475,13 +500,13 @@ def test_grid_search_converts_each_concentration_dimension_once(monkeypatch):
 
         def call(ls, *args):
             calls[name] += 1
-            if name == "concentration_fidelity":
+            if name == "_concentration":
                 targets.append(args[0])
             return real(ls, *args)
 
         return call
 
-    for name in ("power_spectrum", "concentration_fidelity", "dilution_fidelity"):
+    for name in ("power_spectrum", "_concentration", "dilution_fidelity"):
         monkeypatch.setattr(tradeoff, name, recording(name))
     grid = [0.05 * i for i in range(1, 20)]
     recoverable_points(make_schmidt([0.1, 0.9]), 3000, grid)
