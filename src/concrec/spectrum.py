@@ -189,17 +189,19 @@ class _LadderStarts(Sequence[int]):
     docstring).
 
     ``lo[k]`` packs the lower bound m 2^e of start k as e 2^bits + m, so that
-    integer order is the order of the bounds.  ``known`` maps each level that
-    the exact ladder has reached to its exact (start, count).  The ladder
-    runs up from the highest such level, so threads that count the same
-    levels store equal values.  ``last`` is the state that a partial
+    integer order is the order of the bounds.  ``known`` holds the exact
+    starts counted so far, from level 0 up, and the exact count of the
+    highest of those levels.  A read past them counts on from there into a
+    new list and publishes it, with its count, in one assignment, so a
+    concurrent read sees one pair or the other, and threads that count the
+    same levels publish equal values.  ``last`` is the state that a partial
     spectrum's ladder continues from: the bound m 2^e of the last level's
     count as (e, m), and the running start at that exponent.
     The cut ``[:stop]`` that ``_assemble`` makes is again a ladder's
     starts; any other slice is a tuple of exact starts.
     """
 
-    def __init__(self, n: int, bits: int, lo: list[int], known: dict[int, tuple[int, int]]):
+    def __init__(self, n: int, bits: int, lo: list[int], known: tuple[list[int], int]):
         self.n, self.bits, self.lo, self.known = n, bits, lo, known
         self.last: Optional[tuple[int, int, int]] = None
 
@@ -215,19 +217,19 @@ class _LadderStarts(Sequence[int]):
             i += len(self.lo)
         if not 0 <= i < len(self.lo):
             raise IndexError("level start index out of range")
-        return self.exact(i)[0]
+        return self.exact(i)[0][i]
 
-    def exact(self, i: int) -> tuple[int, int]:
-        """The exact start and count of level ``i``."""
-        known = self.known
-        if i not in known:
-            level = len(known) - 1
-            start, count = known[level]
-            for level in range(level, i):
+    def exact(self, i: int) -> tuple[list[int], int]:
+        """``known``, counted on to level ``i`` where it stops below it."""
+        starts, count = self.known
+        if i >= len(starts):
+            starts, start = starts.copy(), starts[-1]
+            for level in range(len(starts) - 1, i):
                 start += count
                 count = count * (self.n - level) // (level + 1)
-                known[level + 1] = start, count
-        return known[i]
+                starts.append(start)
+            self.known = starts, count
+        return starts, count
 
     def pack(self, count: int) -> int:
         """``count`` rounded down to the bounds' precision and packed like
@@ -307,20 +309,7 @@ def _log2_gap(starts: Sequence[int], j: int, count: int) -> float:
 
 def _covers(ls: LeveledSpectrum, count: int) -> bool:
     """Whether ``count <= ls.total_count``, for count >= 0."""
-    starts = ls.starts
-    if isinstance(starts, _LadderStarts):
-        e = starts.lo[-1] >> starts.bits
-        if e and count.bit_length() < starts.bits + e:
-            return True  # count < 2^(bits - 1 + e), at most the bound of the total
-    return not _at_most(starts, len(starts) - 1, count - 1)
-
-
-def _total_bits(ls: LeveledSpectrum) -> int:
-    """``ls.total_count.bit_length()``."""
-    # log2_int of the total is its bit length less one, or the bit length
-    # itself where its top 53 bits round up to 2^53.
-    low = math.floor(_log2_gap(ls.starts, ls.num_levels, 0))
-    return low + _covers(ls, 1 << low)
+    return not _at_most(ls.starts, len(ls.starts) - 1, count - 1)
 
 
 def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
@@ -584,7 +573,7 @@ def _leading_levels(
         eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
         if not np.all(eigs[1:] < eigs[:-1]):
             return None
-    old = built.starts if built else _LadderStarts(n, _MANTISSA, [0], {0: (0, 1)})
+    old = built.starts if built else _LadderStarts(n, _MANTISSA, [0], ([0], 1))
     starts = _LadderStarts(n, old.bits, list(old.lo), old.known)
     prefix = built.prefix_log2_mass if built else np.empty(0)
     ce, cm, sm = old.last or (0, 1, 0)  # from level 0: its count 1, and start 0
@@ -627,6 +616,7 @@ def _leading_levels(
         elif (cm & low) + 4 * k <= low:
             append(log2(cm >> top) + (top + ce))
         else:
+            # Reads reach built levels only, so k is the highest counted.
             append(log2_int(starts.exact(k)[1]))
         sm += cm  # the start of level k + 1, at the count's exponent
         cut = sm.bit_length() - bits

@@ -10,10 +10,10 @@ is capped at N * ceil(log2 rank) pairs.
 and the dilution term never increases, and both are >= 0.  So every m with
 delta(m) <= delta(m0), for the anchor m0 = round(S * N) (S the entropy in
 bits), lies between the first m whose dilution error is within delta(m0)
-plus a 1e-12 slack and the last m whose concentration error is.  Both ends
-are bisected.  No concentration error below the window is read: at large n
-those sit at the float floor and can fail their range check (p = 0.1,
-n = 6e4).
+plus a 1e-12 slack and the last m whose concentration error is.  The first
+is bisected over [1, m0], the last galloped to from m0 (below).  No
+concentration error below the window is read: at large n those sit at the
+float floor and can fail their range check (p = 0.1, n = 6e4).
 
 *The branch and bound.*  On any [a, b] inside the window every delta is at
 least conc(a) + dil(b).  The search evaluates both ends of an interval,
@@ -22,15 +22,20 @@ slack on each term, and splits it at its middle otherwise.  Every m that
 could attain the minimum survives, so the result equals a scan of every m
 up to the cap; comparing (delta, m) sends ties to the smallest m.
 
-*The warm bracket.*  The largest recoverable N for each budget of a grid is
-searched in ascending budget order.  The previous budget's N passes, since
-delta is non-decreasing in N, so it is the lower end of the next bracket,
-which gallops out from the second-order estimate ``nmax_approx`` plus the
-previous estimate's offset, doubling its step, and is then bisected.
+*The gallop.*  One search, ``_last_passing``, finds the window's upper end
+and the largest recoverable N for each budget of a grid: from a point that
+passes it gallops out, doubling its step, until a probe fails, and then
+bisects the bracket.  The n-copy spectrum is built as a head (see
+``concrec.spectrum``): only its levels near and above the typical set, with
+every column, exact up to its ``total_count``.  The upper end gallops up
+from m0, so it reads concentration errors only to about twice the window's
+width past m0, well within the head.  Budgets are searched in ascending
+order, and delta is non-decreasing in N, so the previous budget's N passes
+and is the lower end of the next bracket; its gallop starts at the
+second-order estimate ``nmax_approx`` plus the previous estimate's offset.
 The budgets that :func:`recoverable_points` sends to the cold bisection
 over [1, n] instead skip the gallop: its probe sequence fixes the result
-where deltas are noise.  Each bisection is ``bisect.bisect_left`` over a
-descending ``range``, so it probes upper midpoints.
+where deltas are noise.
 
 The concentration term depends only on the n-copy spectrum and 2^m, not on
 N, so a search over an error grid shares its concentration errors across
@@ -42,18 +47,11 @@ the spectrum does not answer grows it with ``extend_spectrum`` (see
 ``concrec.spectrum``), and the grown spectrum serves every later read.
 Below N = n the N-copy spectrum is read only by the dilution term, which
 reads its top 2^m entries.  So it is built as a partial spectrum down to
-2^m0, and the window's upper end is bisected on concentration errors alone;
-the first dilution read past it, at that end, continues it once.
-
-*The head.*  The n-copy spectrum is built as a head (see
-``concrec.spectrum``): only its levels near and above the typical set, with
-every column, exact up to its ``total_count``.  The window's upper end lies
-within it: the search reads conc(m_hi), for 2^m_hi the largest power of two
-the head answers, and once that lies above the bound it bisects the upper end
-over (m0, m_hi] only.  Everything the search reads then lies within the
-head.  Where the check fails, or the head does not reach 2^m0, the first
-read past the head grows it into the full spectrum, once for both errors at
-N = n, with the same result.
+2^m0, and the window's upper end is found on concentration errors alone;
+the first dilution read past it, at that end, continues it once.  Where a
+read lies past the n-copy head, as where the head does not reach 2^m0, it
+grows the head into the full spectrum, once for both errors at N = n, with
+the same result.
 
 The head and the partial N-copy spectra hold certified counts, not exact
 ones (see ``concrec.spectrum``), and the search reads them only through
@@ -72,9 +70,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .asymptotics import nmax_approx, profile
 from .conversion import _concentration, dilution_fidelity
 from .errors import InvalidEpsilon, InvalidRange
-from .spectrum import (
-    _HEAD, LeveledSpectrum, SchmidtVector, _total_bits, extend_spectrum, power_spectrum
-)
+from .spectrum import _HEAD, LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,22 @@ _WINDOW_SLACK = 1e-12
 # Deltas carry a float floor that grows about linearly in n (3.04e-12 for
 # p = 0.1 at n = 6e4), so this leaves a margin of over 300 there.
 _NOISE_BUDGET = 1e-9
+
+
+def _last_passing(passes: Callable[[int], bool], lo: int, hi: int, probe: int) -> int:
+    """The largest x in [lo, hi) that ``passes``, or lo where none in
+    (lo, hi) does, for a predicate that holds up to some x and fails past
+    it; ``passes`` is called only inside (lo, hi).  It gallops from
+    ``probe``, doubling its step, while the probe lies inside (lo, hi), and
+    then bisects, probing upper midpoints."""
+    step = 1
+    while lo < probe < hi:
+        if passes(probe):
+            lo, probe = probe, probe + step
+        else:
+            hi, probe = probe, probe - step
+        step *= 2
+    return hi - 1 - bisect_left(range(hi - 1, lo, -1), True, key=passes)
 
 
 def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], Callable[[int], float]]:
@@ -130,16 +142,13 @@ def _gmcre(
     # The window and the branch and bound stay exact in floats while no
     # rounding moves conc down, or dil up, by the slack between any two m.
     # Measured for qubits up to n = 3e4: the largest such move is 9.6e-13
-    # (conc, p = 0.25), and dil never rises.  The intervals wait on a stack:
-    # a recursive closure would be a reference cycle, keeping the N-copy
+    # (conc, p = 0.25), and dil never rises.  The upper end gallops up from
+    # m0, which passes, so conc is read only up to about twice the window's
+    # width past m0, within the head.  The intervals wait on a stack: a
+    # recursive closure would be a reference cycle, keeping the N-copy
     # spectrum alive until the cycle collector runs.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
-    hi = m_cap
-    if not spec_n.complete:  # a head: see the module docstring
-        m_hi = _total_bits(spec_n) - 1
-        if m0 < m_hi < m_cap and conc(m_hi) > bound:
-            hi = m_hi
-    last = hi - bisect_left(range(hi, m0, -1), True, key=lambda m: conc(m) <= bound)
+    last = _last_passing(lambda m: conc(m) <= bound, m0, m_cap + 1, m0 + 1)
     first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
 
     def key(m: int) -> tuple[float, int]:
@@ -219,27 +228,16 @@ def recoverable_points(
         def passes(N: int) -> bool:
             return point(N).delta <= eps
 
-        # The answer lies in [lo, hi): lo passes (or is 0) and hi fails (or
-        # is n + 1).  Cold, lo = 0 and hi = n + 1.
-        lo, hi = 0, n + 1
         warm = _NOISE_BUDGET < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
         if warm:
-            # The first probe on the other side fixes the bracket and sends
-            # the next probe out of it.  Without the second-order guess the
-            # gallop builds more spectra than the cold search (fig4 grid,
-            # p = 0.077, n = 3000: 175 against 107; 65 with it).
+            # Without the second-order guess the gallop builds more spectra
+            # than the cold search (fig4 grid, p = 0.077, n = 3000: 175
+            # against 107; 65 with it).
             approx = int(nmax_approx(sv, n, eps))
-            lo, step = N, 1
-            probe = min(max(approx + offset, lo + 1), n)
-            while lo < probe < hi:
-                if passes(probe):
-                    lo, probe = probe, probe + step
-                else:
-                    hi, probe = probe, probe - step
-                step *= 2
-        N = hi - 1 - bisect_left(range(hi - 1, lo, -1), True, key=passes)
-        if warm:
+            N = _last_passing(passes, N, n + 1, min(max(approx + offset, N + 1), n))
             offset = N - approx
+        else:
+            N = _last_passing(passes, 0, n + 1, 0)
         found[eps] = point(N) if N else None
     return [found[eps] for eps in eps_grid]
 

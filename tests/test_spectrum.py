@@ -573,9 +573,30 @@ def test_large_heads_hold_no_big_integers(p):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not head.complete and len(head.starts.known) == 1
+    assert not head.complete and head.starts.known == ([0], 1)
     bound = {0.05: 0.35 * 2**20, 0.25: 1.4 * 2**20}[p]
     assert retained < bound and peak < 2 * bound, (retained, peak)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25])
+def test_an_exact_total_holds_one_big_integer_per_level(p):
+    # Reading ``total_count`` counts every level of the head exactly.  Held
+    # as one exact start per level and the top count, that retains 4.17 and
+    # 16.97 MB at n = 3e4 for p = 0.1 and 0.25 under tracemalloc.  Held as
+    # an exact (start, count) pair per level in a dict, it retained 8.70 and
+    # 34.64 MB; the bound is 55% of that.
+    sv, n = make_schmidt([p, 1.0 - p]), 30000
+    head = power_spectrum(sv, n, _HEAD)
+    tracemalloc.start()
+    try:
+        total = head.total_count
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    k = head.num_levels
+    assert total == sum(math.comb(n, j) for j in range(k))
+    assert head.starts.known[1] == math.comb(n, k)  # the count of the level past the head
+    assert retained < 0.55 * {0.1: 8.70, 0.25: 34.64}[p] * 2**20, retained
 
 
 def test_a_large_head_equals_the_exact_ladder():

@@ -296,11 +296,17 @@ def test_the_search_counts_no_start_exactly(monkeypatch, p, n, expected):
     # The certified counts decide every read of these searches: with exact
     # counting made to raise, they return the results that the exact
     # big-integer ladder gave.  At n = 3000 the search is fig4's, over its
-    # grid, pinned by SHA-256.
+    # grid, pinned by SHA-256.  Nor do they build a full spectrum: the
+    # window's upper end gallops up from m0, reading concentration errors
+    # past the window, yet never past the n-copy head.
     def refused(self, i):
         raise AssertionError(f"level {i} counted exactly")
 
+    def full(sv, copies):
+        raise AssertionError(f"full build at n = {copies}")
+
     monkeypatch.setattr(spectrum._LadderStarts, "exact", refused)
+    monkeypatch.setattr(spectrum, "_full_spectrum", full)
     sv = make_schmidt([p, 1.0 - p])
     if n == 3000:
         points = recoverable_points(sv, n, [0.05 * i for i in range(1, 20)])
@@ -311,11 +317,14 @@ def test_the_search_counts_no_start_exactly(monkeypatch, p, n, expected):
 
 @pytest.mark.parametrize("levels", [300, 315])
 def test_full_build_fallback_gives_equal_results(monkeypatch, levels):
-    # The head for p = 0.1 at n = 3000 has 461 levels and reaches past every
-    # window; no input found reads past a head.  A cut to fewer levels is
-    # still exact where it answers.  Cut to 300, it does not reach 2^m0
-    # (m0 = 1407, in level 302); cut to 315, conc(m_hi) is within the bound.
-    # Either way the first read past the head grows it into the full build.
+    # The head for p = 0.1 at n = 3000 has 461 levels (2^1850 entries) and
+    # reaches past every window; no input found reads past a head.  A cut to
+    # fewer levels is still exact where it answers.  Cut to 300 (2^1399
+    # entries), it does not reach 2^m0 (m0 = 1407, in level 302), so the
+    # first read, conc(m0), lies past it.  Cut to 315 (2^1446 entries), it
+    # reaches 2^m0, but not the window's upper end (m = 1484 for mcre), so
+    # the gallop up from m0 reads past it.  Either way the first read past
+    # the head grows it into the full build.
     sv, n, grid = make_schmidt([0.1, 0.9]), 3000, [0.1, 0.5, 0.9]
     expected = mcre(sv, n), generalized_mcre(sv, n, 2000), recoverable_points(sv, n, grid)
     real, real_full = tradeoff.power_spectrum, spectrum._full_spectrum
@@ -347,6 +356,37 @@ def test_full_build_fallback_gives_equal_results(monkeypatch, levels):
     assert recoverable_points(sv, n, grid) == expected[2]
     assert any(full)
     assert generalized_mcre(sv, n, 2000) == expected[1]
+
+
+@st.composite
+def last_passing_cases(draw):
+    """A range [lo, hi), a threshold in [lo - 1, hi] up to which the
+    predicate holds, and a probe inside (lo, hi) or outside it."""
+    lo = draw(st.integers(-3, 40))
+    hi = draw(st.integers(lo + 1, lo + 70))
+    inside = st.integers(lo + 1, hi - 1) if hi - lo > 1 else st.nothing()
+    probe = draw(inside | st.integers(lo - 3, lo) | st.integers(hi, hi + 3))
+    return lo, hi, draw(st.integers(lo - 1, hi)), probe
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(last_passing_cases())
+@example((5, 6, 4, 6))  # lo + 1 == hi: nothing to probe
+@example((5, 6, 6, 5))
+@example((0, 3001, 1484, 0))  # the cold bisection
+@example((1407, 3001, 1484, 1408))  # the window's upper end for mcre, p = 0.1, n = 3000
+def test_last_passing_equals_a_linear_scan(case):
+    lo, hi, threshold, probe = case
+    called = []
+
+    def passes(x):
+        called.append(x)
+        return x <= threshold
+
+    expected = max([x for x in range(lo + 1, hi) if passes(x)], default=lo)
+    called.clear()
+    assert tradeoff._last_passing(passes, lo, hi, probe) == expected
+    assert all(lo < x < hi for x in called), called
 
 
 @st.composite
