@@ -15,14 +15,19 @@ keeps the total-mass drift around 1e-12 for spectra with thousands of
 levels.
 
 The build works on whole columns.  The exponent vectors form one int64
-array and the multiplicities one list, from an exact ratio ladder that
-takes one big-by-small product per level and, when the last two value
-groups have equal sizes, runs only half its length and mirrors the rest.
-The log2 eigenvalues are one numpy product of that array with the log2
-values, summed along each row: a single float addition rounds a sum of
-one or two terms exactly as ``math.fsum`` does, while three or more terms
-keep ``math.fsum`` per row, since a plain float sum could round twice.
-One ``np.lexsort`` orders the levels by descending eigenvalue, then by
+array, each column one ``np.repeat`` over the rows before it.  The
+multiplicities form one list, from an exact ratio ladder per value group
+that takes one big-by-small product per level: the running count of the
+groups before is the start of the next group's ladder, folded into its
+counts rather than multiplied into each.  ``log2_int`` of each count is
+taken as the ladder makes it, and when the last two value groups have equal
+sizes the ladder runs only half its length and mirrors both the counts and
+their log2 values.  The log2 eigenvalues are one numpy product of that
+array with the log2 values, summed along each row and rounded once, as
+``math.fsum`` rounds: by one float addition for one or two terms, and for
+three or more by TwoSum, column by column, whose error terms carry the
+exact sum (see ``_log2_eigs``).  One stable ``np.argsort`` of the rows in
+reverse orders the levels by descending eigenvalue, then by ascending
 exponent vector.  Every build, full or partial, hands its sorted levels to
 one function, ``_assemble``, which accumulates the mass columns and checks
 the total mass.
@@ -420,50 +425,76 @@ def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
     return values, sizes
 
 
-def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int]]:
-    """Exponent vectors and multiplicities of every type class of n copies.
+def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Exponent vectors, multiplicities and log2 multiplicities of every type
+    class of n copies.
 
     Returns an int64 array with one row e per type class, rows in
-    descending lexicographic order of e, and the list of the matching
-    multiplicities.  Over distinct values with group sizes g the
-    multiplicity is multinomial(n; e) * prod_i g_i^(e_i): choose which
-    tensor factors fall in each value class, then which of the g_i equal
-    entries each factor uses.  It splits into C(n, e_1) * g_1^(e_1) times
-    the multiplicity of the remaining groups on n - e_1 copies, and the
-    first factor follows e_1 down from n by an exact integer ratio.  When
-    one group is left, its power h^(n - e_1) rides along in the same ratio,
-    folded into one step ``head * (e * h) // ((n - e + 1) * g)``: a big
-    integer times a small one, then divided by a small one.  When the last
-    two groups have equal sizes (every qubit), the counts are g^n C(n, e),
-    symmetric in e <-> n - e, so only half the ladder is run and the other
-    half is its mirror image.
+    descending lexicographic order of e, the list of the matching
+    multiplicities, and their ``log2_int`` values as a float64 array.  Each
+    column of the exponent rows is one ``np.repeat`` over the rows before
+    it: a row with s copies left gets s + 1 children, whose next entry runs
+    from s down to 0.
+
+    Over distinct values with group sizes g the multiplicity is
+    multinomial(n; e) * prod_i g_i^(e_i): choose which tensor factors fall
+    in each value class, then which of the g_i equal entries each factor
+    uses.  It splits into C(n, e_1) * g_1^(e_1) times the multiplicity of
+    the remaining groups on n - e_1 copies, and the first factor follows e_1
+    down from n by an exact integer ratio.  That running factor is the start
+    of the remaining groups' ladder, so it is folded into every count they
+    make rather than multiplied into each.  When one group is left, its
+    power h^(n - e_1) rides along in the same ratio, folded into one step
+    ``head * (e * h) // ((n - e + 1) * g)``: a big integer times a small
+    one, then divided by a small one, exactly, since the quotient is the
+    next count.  When the last two groups have equal sizes (every qubit,
+    and every state of distinct entries), the counts of a ladder are its
+    start times g^n C(n, e), symmetric in e <-> n - e, so only half the
+    ladder is run, and only its half of the log2 counts taken; the other
+    half of both is the mirror image.
     """
+    left, cols = np.array([n], dtype=np.int64), []
+    for _ in sizes[1:]:
+        width = left + 1
+        rest = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        cols = [np.repeat(c, width) for c in cols] + [np.repeat(left, width) - rest]
+        left = rest
+    cols.append(left)
+    mults: list[int] = []
+    logs: list[float] = []
+    _ladder(sizes, n, 1, mults, logs)
+    return np.array(cols).T, mults, np.array(logs)
+
+
+def _ladder(sizes: Sequence[int], n: int, head: int, mults: list[int], logs: list[float]) -> None:
+    """Append to ``mults`` the multiplicity of every type class of the value
+    groups ``sizes`` on n copies, times ``head``, and to ``logs`` their
+    ``log2_int`` values, in the order and by the ladder of
+    :func:`_type_columns`."""
     g, rest = sizes[0], sizes[1:]
+    head *= g**n
     if not rest:
-        return np.array([[n]], dtype=np.int64), [g**n]
-    if len(rest) == 1:
-        h = rest[0]
-        e_col = np.arange(n, -1, -1, dtype=np.int64)
-        head = g**n
-        mults = [head]
+        mults.append(head)
+        logs.append(log2_int(head))
+    elif len(rest) > 1:
+        for e in range(n, -1, -1):
+            _ladder(rest, n - e, head, mults, logs)
+            head = head * e // ((n - e + 1) * g)
+    else:
+        h, first = rest[0], len(mults)
+        mults.append(head)
         for e in range(n, n - n // 2 if g == h else 0, -1):
             head = head * (e * h) // ((n - e + 1) * g)
             mults.append(head)
+        logs.extend(map(log2_int, mults[first:]))
         if g == h:
+            half = (n + 1) // 2
             # Fresh ints (m + 0), not shared references.  The build frees each
             # count as it is summed; a shared object is freed only at its
             # second pop.  For a qubit at n = 3e4 sharing left tracemalloc's
             # peak as it was but raised ru_maxrss from 133 to 148 MB.
-            mults.extend(m + 0 for m in reversed(mults[: (n + 1) // 2]))
-        return np.column_stack((e_col, n - e_col)), mults
-    blocks, mults = [], []
-    head = g**n
-    for e in range(n, -1, -1):
-        sub_exps, sub_mults = _type_columns(rest, n - e)
-        blocks.append(np.column_stack((np.full(len(sub_mults), e, dtype=np.int64), sub_exps)))
-        mults.extend(head * m for m in sub_mults)
-        head = head * e // ((n - e + 1) * g)
-    return np.concatenate(blocks), mults
+            mults.extend(m + 0 for m in reversed(mults[first : first + half]))
+            logs.extend(reversed(logs[first : first + half]))
 
 
 def _build_bytes(levels: int, n: int, rank: int) -> float:
@@ -471,25 +502,48 @@ def _build_bytes(levels: int, n: int, rank: int) -> float:
     return levels * (180 + n * math.log2(rank) / 8)
 
 
+def _two_sum(a, b):
+    """a + b rounded, and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
 def _log2_eigs(exps: np.ndarray, values: Sequence[float]) -> np.ndarray:
     """log2 eigenvalue of each row of exponents against the distinct values.
 
-    Each is the exactly rounded sum of its products e * log2(value), which
-    numpy forms exactly as Python floats do.  For one or two distinct values
-    a single float addition is that rounded sum, taken column by column
-    (numpy's row sum over two columns is several times slower); + 0.0 makes
-    a -0.0 sum (all products -0.0 at n = 0) the +0.0 that fsum gives.  Three
-    or more terms need fsum.
+    Each is the correctly rounded sum of its products e * log2(value), which
+    numpy forms exactly as Python floats do, and which ``math.fsum`` returns.
+    For one or two distinct values a single float addition is that rounded
+    sum, taken column by column (numpy's row sum over two columns is several
+    times slower); + 0.0 makes a -0.0 sum (all products -0.0 at n = 0) the
+    +0.0 that fsum gives.
+
+    Three or more terms could round twice, so the columns are summed with
+    TwoSum: the running sum t, and the rounding error of each addition,
+    exactly.  So t plus the error terms is the exact row sum S.  The error
+    terms are summed with TwoSum too, into err.  Where that sum never
+    rounds (every second-order error is 0), err is exactly their sum, so
+    t + err = S, and the one float addition t + err rounds S once: it is
+    the correctly rounded sum that fsum gives, ties included.  A row of
+    -0.0 products sums to +0.0 there too, since the error of -0.0 + -0.0
+    is +0.0.  Any other row is summed by fsum.  No product is positive, so
+    each error term lies below half a unit in the last place of t, and is a
+    multiple of the finest such unit among the products: the error sum
+    rounds only where the products lie more than about 2^50 apart.
     """
+    prods = [exps[:, j] * math.log2(v) for j, v in enumerate(values)]
     if len(values) <= 2:
-        return sum(exps[:, j] * math.log2(v) for j, v in enumerate(values)) + 0.0
-    prods = exps * np.array([math.log2(v) for v in values])
-    # A few thousand rows at a time: one list of lists for the whole
-    # array raised ru_maxrss by 4 MB at rank 3, n = 300.
-    return np.array(
-        [math.fsum(row) for i in range(0, len(prods), 4096) for row in prods[i : i + 4096].tolist()],
-        dtype=np.float64,
-    )
+        return sum(prods) + 0.0
+    t, err, exact = prods[0], 0.0, True
+    for p in prods[1:]:
+        t, e = _two_sum(t, p)
+        err, lost = _two_sum(err, e)
+        exact &= lost == 0.0
+    eigs = t + err
+    rows = np.flatnonzero(~exact)
+    eigs[rows] = [math.fsum(row) for row in np.column_stack([p[rows] for p in prods]).tolist()]
+    return eigs
 
 
 def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> LeveledSpectrum:
@@ -637,10 +691,12 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     # deliberately kept separate: every downstream quantity depends only on
     # the eigenvalue multiset, and the exponent vector gives a deterministic
     # secondary sort key.
-    exps, mults = _type_columns(sizes, n)
+    exps, mults, log2_mults = _type_columns(sizes, n)
     eigs = _log2_eigs(exps, values)
-    order = np.lexsort((*exps.T[::-1], -eigs))
-    log2_mults = np.fromiter(map(log2_int, mults), dtype=np.float64)[order]
+    del exps  # not held through the count reorder and accumulate, the peak
+    # By descending eigenvalue, ties in ascending exponent order: a stable
+    # sort of the rows in reverse, since they come in descending order.
+    order = len(eigs) - 1 - np.argsort(-eigs[::-1], kind="stable")
     mults = [mults[i] for i in order.tolist()]
     # Pop each big multiplicity as it is counted, down to the None put under
     # them, so the spectrum's big integers are never held twice.
@@ -649,7 +705,7 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
-    return _assemble(sv, n, starts, eigs[order], log2_mults, eigs[:0], NEG_INF)
+    return _assemble(sv, n, starts, eigs[order], log2_mults[order], eigs[:0], NEG_INF)
 
 
 def _assemble(

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from concrec import (
@@ -373,6 +373,57 @@ def test_build_matches_per_level_reference_seeded(probs, n):
     _assert_same_build(make_schmidt(probs), n)
 
 
+# A value in (0, 1): any float, a power of two, or the largest float below 1.
+_UNIT = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(1, 1074).map(lambda k: 2.0**-k),
+    st.just(math.nextafter(1.0, 0.0)),
+)
+
+
+@st.composite
+def value_rows(draw):
+    """3-5 distinct values in (0, 1), neighbouring floats among them, and
+    rows of exponents against them: zeros, small ones and ones up to 2^53."""
+    values = draw(st.lists(_UNIT, min_size=1, max_size=5, unique=True))
+    for _ in range(draw(st.integers(max(3 - len(values), 0), 5 - len(values)))):
+        values.append(math.nextafter(values[-1], 0.25 if values[-1] >= 0.5 else 0.75))
+    assume(len(set(values)) == len(values))
+    exponent = st.one_of(st.just(0), st.integers(0, 400), st.integers(0, 2**53))
+    row = st.lists(exponent, min_size=len(values), max_size=len(values))
+    return values, draw(st.lists(row, min_size=1, max_size=8))
+
+
+def test_eigenvalue_sums_equal_fsum():
+    # Each row's sum is fsum's bit for bit, whether the TwoSum columns
+    # certify it or fsum is called for it; the examples take both ways.
+    from unittest import mock
+
+    ways = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(value_rows())
+    # n = 0: every product is -0.0, and the sum +0.0.
+    @example(((0.5, 0.3, 0.2), [[0, 0, 0]]))
+    # Exact ties between exponent vectors, and a tie in the rounding of
+    # -2^60 - 128 that the product -1.6e-16 breaks: the error sum
+    # -128 - 1.6e-16 rounds, and t + err would round the tie to -2^60.
+    @example(((0.5, 0.25, 0.125, 0.0625), [[2, 0, 0, 0], [0, 1, 0, 0], [1, 1, 1, 1]]))
+    @example(((math.nextafter(1.0, 0.0), 0.5, 0.25), [[1, 2**60, 64], [1, 0, 0]]))
+    def check(case):
+        values, rows = case
+        exps = np.array(rows, dtype=np.int64)
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            got = spectrum._log2_eigs(exps, values)
+        ways["fsum"] += fsum.call_count
+        ways["columns"] += len(rows) - fsum.call_count
+        expected = [math.fsum(e * math.log2(v) for e, v in zip(row, values)) for row in rows]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+
+    check()
+    assert ways["fsum"] and ways["columns"], ways
+
+
 def _assert_read_rule(ls):
     """Each mass read of ``ls`` at -1 and at one past its total: a negative
     count raises ValueError; past the total a complete spectrum clamps, and
@@ -594,7 +645,14 @@ def test_an_exact_total_holds_one_big_integer_per_level(p):
     finally:
         tracemalloc.stop()
     k = head.num_levels
-    assert total == sum(math.comb(n, j) for j in range(k))
+    # The sum of C(n, j) for j < k, by the exact ladder C(n, j + 1) =
+    # C(n, j) (n - j) / (j + 1), whose last count is checked against
+    # math.comb; one math.comb per level takes about 20 s at p = 0.25.
+    exact, count = 0, 1
+    for j in range(k):
+        exact, count = exact + count, count * (n - j) // (j + 1)
+    assert count == math.comb(n, k)
+    assert total == exact
     assert head.starts.known[1] == math.comb(n, k)  # the count of the level past the head
     assert retained < 0.55 * {0.1: 8.70, 0.25: 34.64}[p] * 2**20, retained
 
@@ -801,28 +859,32 @@ def test_concurrent_queries_match_serial():
 
 
 def test_concurrent_reads_of_counted_starts():
-    # A head counts each start when first read and keeps it; threads reading
-    # the same unread starts may count them at once, and must all see the
-    # exact values.
-    import sys
+    # A head counts each start when first read and keeps it.  Two readers
+    # here count the same unread levels at the same moment: each count's
+    # first step from level 0 waits at a barrier for the other.  Both must
+    # see the exact values, and so must every read after them.
+    import threading
     from concurrent.futures import ThreadPoolExecutor
+
+    meet = threading.Barrier(2, timeout=10)
+
+    class Meeting(int):
+        """A count that waits for the other reader when a count steps from it."""
+
+        def __mul__(self, other):
+            meet.wait()
+            return int(self) * other
 
     sv = make_schmidt([0.25, 0.75])
     expected = power_spectrum(sv, 3000).starts
     head = power_spectrum(sv, 3000, _HEAD)
-    indices = list(range(len(head.starts))) * 2
-    np.random.default_rng(3).shuffle(indices)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            chunks = [indices[j::8] for j in range(8)]
-            futures = [pool.submit(lambda c: [head.starts[i] for i in c], c) for c in chunks]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for chunk, got in zip(chunks, results):
-        assert got == [expected[i] for i in chunk]
+    assert head.starts.known == ([0], 1)
+    head.starts.known = ([0], Meeting(1))
+    reads = [len(head.starts) - 1, len(head.starts) // 2]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(head.starts.__getitem__, reads, timeout=60))
+    assert got == [expected[i] for i in reads]
+    assert tuple(head.starts) == expected[: len(head.starts)]
 
 
 def test_schmidt_vector_invariants_enforced():
