@@ -118,12 +118,20 @@ def concentration_fidelity(ls: LeveledSpectrum, L: int) -> ConversionResult:
     return ConversionResult(result.fidelity, result.error, flatten_index_J=ls.starts[j])
 
 
+def _dilution_mass(ls_target: LeveledSpectrum, L: int) -> float:
+    """The top-``L`` mass that :func:`dilution_fidelity` reads, whose
+    complement 1 - mass is the dilution error, without building a result.
+    The fidelity, its square root, cannot be recovered bit for bit from the
+    error where the mass is below 1/2, so the mass is what is shared."""
+    if L < 1:
+        raise InvalidDimension(f"source dimension must be >= 1, got {L}")
+    return prefix_mass(ls_target, L)
+
+
 def dilution_fidelity(ls_target: LeveledSpectrum, L: int) -> ConversionResult:
     """Optimal fidelity for preparing the spectrum's state from a maximally
     entangled source of dimension ``L``: the square root of the top-L mass."""
-    if L < 1:
-        raise InvalidDimension(f"source dimension must be >= 1, got {L}")
-    mass = prefix_mass(ls_target, L)
+    mass = _dilution_mass(ls_target, L)
     return ConversionResult(
         fidelity=math.sqrt(mass),
         error=1.0 - mass,

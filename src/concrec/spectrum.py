@@ -781,13 +781,13 @@ def _log2_split(
         log2_kept = NEG_INF  # a complete spectrum clamps to its total
     if log2_kept == NEG_INF:
         if tail:
-            return float(whole[i])
-        return float(whole[i - 1]) if i else NEG_INF
+            return whole.item(i)
+        return whole.item(i - 1) if i else NEG_INF
     if tail:
-        rest, log2_piece = whole[i + 1], _log2_gap(starts, i + 1, count)
+        rest, log2_piece = whole.item(i + 1), _log2_gap(starts, i + 1, count)
     else:
-        rest, log2_piece = (whole[i - 1] if i else NEG_INF), log2_kept
-    partial = log2_piece + weight * ls.log2_eigenvalues[i]
+        rest, log2_piece = (whole.item(i - 1) if i else NEG_INF), log2_kept
+    partial = log2_piece + weight * ls.log2_eigenvalues.item(i)
     return float(np.logaddexp2(rest, partial))
 
 

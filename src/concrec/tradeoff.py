@@ -10,10 +10,13 @@ is capped at N * ceil(log2 rank) pairs.
 and the dilution term never increases, and both are >= 0.  So every m with
 delta(m) <= delta(m0), for the anchor m0 = round(S * N) (S the entropy in
 bits), lies between the first m whose dilution error is within delta(m0)
-plus a 1e-12 slack and the last m whose concentration error is.  The first
-is bisected over [1, m0], the last galloped to from m0 (below).  No
-concentration error below the window is read: at large n those sit at the
-float floor and can fail their range check (p = 0.1, n = 6e4).
+plus a 1e-12 slack and the last m whose concentration error is.  Both ends
+are galloped to from m0 (below): the first down, the last up.  For N
+well below n the first lies at or next to m0, so it takes one or two
+dilution reads; near N = n it lies up to about 80 below m0 (p = 0.077,
+n = 3000).  No concentration error below the window is read: at large n
+those sit at the float floor and can fail their range check (p = 0.1,
+n = 6e4).
 
 *The branch and bound.*  On any [a, b] inside the window every delta is at
 least conc(a) + dil(b).  The search evaluates both ends of an interval,
@@ -22,42 +25,57 @@ slack on each term, and splits it at its middle otherwise.  Every m that
 could attain the minimum survives, so the result equals a scan of every m
 up to the cap; comparing (delta, m) sends ties to the smallest m.
 
-*The gallop.*  One search, ``_last_passing``, finds the window's upper end
-and the largest recoverable N for each budget of a grid: from a point that
-passes it gallops out, doubling its step, until a probe fails, and then
-bisects the bracket.  The n-copy spectrum is built as a head (see
-``concrec.spectrum``): only its levels near and above the typical set, with
-every column, exact up to its ``total_count``.  The upper end gallops up
-from m0, so it reads concentration errors only to about twice the window's
-width past m0, well within the head.  Budgets are searched in ascending
-order, and delta is non-decreasing in N, so the previous budget's N passes
-and is the lower end of the next bracket; its gallop starts at the
-second-order estimate ``nmax_approx`` plus the previous estimate's offset.
-The budgets that :func:`recoverable_points` sends to the cold bisection
-over [1, n] instead skip the gallop: its probe sequence fixes the result
-where deltas are noise.
+*The gallop.*  One search, ``_last_passing``, finds both ends of the
+window: from a point it gallops out, doubling its step, until a probe
+crosses, and then bisects the bracket.  The n-copy spectrum is built as a
+head (see ``concrec.spectrum``): only its levels near and above the typical
+set, with every column, exact up to its ``total_count``.  The upper end
+gallops up from m0, so it reads concentration errors only to about twice
+the window's width past m0, well within the head.
+
+*The N search.*  :func:`recoverable_points` searches its budgets in
+ascending order, and delta is non-decreasing in N, so every N evaluated for
+a lower budget bounds the next one's.  ``_last_within`` brackets each budget
+between the largest N evaluated so far within it (at least the previous
+budget's N) and the smallest evaluated N above that, and interpolates on
+the deltas in hand: a safeguarded secant step with a bisection fallback,
+after Dekker and Brent.  Its first probe is the second-order estimate
+``nmax_approx`` plus the previous estimate's offset.  While no N past the
+budget is known it gallops up, at least as far as a doubling step from that
+probe and as far as the line through the two highest passing N reaches the
+budget; then it probes where the line through the bracket's ends does, and
+the midpoint after any probe that did not halve the bracket, so the worst
+case stays logarithmic.  The budgets that :func:`recoverable_points` sends
+to the cold bisection over [1, n] use ``_last_passing`` from 0 as before:
+its probe sequence fixes the result where deltas are noise.
 
 The concentration term depends only on the n-copy spectrum and 2^m, not on
 N, so a search over an error grid shares its concentration errors across
-its points, as it shares the points across its budgets.  Both are
-``functools.cache`` closures over the search, dropped on return.
+its points, as it shares the points across its budgets.  The errors are
+``functools.cache`` closures and the points a dict, held by the search and
+dropped on return.
 
 Every error is read through one accessor, ``_errors``: a read at 2^m that
-the spectrum does not answer grows it with ``extend_spectrum`` (see
-``concrec.spectrum``), and the grown spectrum serves every later read.
-Below N = n the N-copy spectrum is read only by the dilution term, which
-reads its top 2^m entries.  So it is built as a partial spectrum down to
-2^m0, and the window's upper end is found on concentration errors alone;
-the first dilution read past it, at that end, continues it once.  Where a
-read lies past the n-copy head, as where the head does not reach 2^m0, it
-grows the head into the full spectrum, once for both errors at N = n, with
-the same result.
+the spectrum does not answer raises ``CountExceedsTotal``, the spectrum is
+grown with ``extend_spectrum`` (see ``concrec.spectrum``) and read again,
+and the grown spectrum serves every later read.  Below N = n the N-copy
+spectrum is read only by the dilution term, which reads its top 2^m
+entries.  So it is built as a partial spectrum down to 2^m0, and the
+window's upper end is found on concentration errors alone; the first
+dilution read past it, at that end, continues it once.  Where a read lies
+past the n-copy head, as where the head does not reach 2^m0, it grows the
+head into the full spectrum, once for both errors at N = n, with the same
+result.
 
 The head and the partial N-copy spectra hold certified counts, not exact
 ones (see ``concrec.spectrum``), and the search reads them only through
-that module's certified reads, with concentration errors from the private
-``conversion._concentration``, which leaves out the exact cut J.  So it
-counts exactly only where a bound cannot decide a read.
+that module's certified reads: concentration errors from the private
+``conversion._concentration``, which leaves out the exact cut J, and
+dilution errors from ``conversion._dilution_mass``, which builds no result.
+So it counts exactly only where a bound cannot decide a read.  Each point's
+record reads its recovery error once more through the public
+``dilution_fidelity``, so that a caller wrapping the public conversions
+(as the benchmark's tracer does) still sees every point.
 """
 
 from __future__ import annotations
@@ -65,11 +83,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .asymptotics import nmax_approx, profile
-from .conversion import _concentration, dilution_fidelity
-from .errors import InvalidEpsilon, InvalidRange
+from .conversion import _concentration, _dilution_mass, dilution_fidelity
+from .errors import CountExceedsTotal, InvalidEpsilon, InvalidRange
 from .spectrum import _HEAD, LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
 
 
@@ -110,20 +128,75 @@ def _last_passing(passes: Callable[[int], bool], lo: int, hi: int, probe: int) -
     return hi - 1 - bisect_left(range(hi - 1, lo, -1), True, key=passes)
 
 
-def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], Callable[[int], float]]:
-    """The concentration and dilution errors of ``ls`` at 2^m, as cached
-    functions of m.  A read that ``ls`` does not answer grows it by
-    ``extend_spectrum``, and the grown spectrum serves every later read of
-    either error."""
+def _last_within(
+    delta: Callable[[int], float], known: Mapping[int, float], eps: float, top: int, probe: int
+) -> int:
+    """The largest N in [0, top) with ``delta(N) <= eps``, for delta
+    non-decreasing in N from delta(0) = 0.  ``known`` maps each N evaluated
+    so far, all above 0, to its delta.
 
-    def grown(m: int) -> LeveledSpectrum:
-        nonlocal ls
-        ls = extend_spectrum(ls, 1 << m)
-        return ls
+    The bracket (lo, hi) is what ``known`` leaves: lo the largest known N
+    within eps, or 0, and hi the smallest known N above lo, or top.
+    ``delta`` is called only inside it, at no known N, and at most
+    3 ceil(log2(hi - lo)) + 1 times.  The first probe is ``probe``, clamped
+    into the bracket.  While hi is top, each probe lies at least as far as
+    a gallop from the first, its step doubling from 1, would reach, and as
+    far as the line through the two highest N within eps reaches eps, where
+    neither is 0: delta is far from linear that far down.  So at most
+    ceil(log2(hi - lo)) probes pass before one fails, and one more where
+    none fails.  After that it probes where the line through delta(lo) and
+    delta(hi) reaches eps, or the midpoint after a probe that left more
+    than half the bracket (of width w, more than ceil(w / 2)).  A midpoint,
+    like a probe that halves, takes at least 1 from ceil(log2(hi - lo)), so
+    at most twice that many probes follow the first that fails.
+    """
+    within = sorted({0: 0.0, **{x: d for x, d in known.items() if d <= eps}}.items())
+    (x1, d1), (lo, d_lo) = ([(0, 0.0)] + within)[-2:]
+    hi = min([top] + [x for x in known if x > lo])
+    d_hi, step = known.get(hi), 1
+    gallop = min(max(probe, lo + 1), hi - 1)
+    while hi - lo > 1:
+        x = min(max(probe, lo + 1), hi - 1)
+        d, width = delta(x), hi - lo
+        if d <= eps:
+            (x1, d1), lo, d_lo = (lo, d_lo), x, d
+        else:
+            hi, d_hi = x, d
+        if hi == top:
+            gallop, step = gallop + step, 2 * step
+            probe = gallop
+            if x1 and d_lo > d1:
+                probe = max(probe, lo + int(min((eps - d_lo) / (d_lo - d1) * (lo - x1), top - lo)))
+        elif 2 * (hi - lo) > width + 1:
+            probe = (lo + hi) // 2
+        else:
+            probe = lo + int((eps - d_lo) / (d_hi - d_lo) * (hi - lo))
+    return lo
+
+
+def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], ...]:
+    """The concentration and dilution errors of ``ls`` at 2^m, as cached
+    functions of m, and the dilution error at an m already read, through
+    the public ``dilution_fidelity``, for a point's record.  A read that
+    ``ls`` does not answer raises ``CountExceedsTotal``; then ``ls`` is
+    grown by ``extend_spectrum``, and the grown spectrum serves every later
+    read of either error."""
+
+    def read(error: Callable[[LeveledSpectrum, int], float]) -> Callable[[int], float]:
+        def at(m: int) -> float:
+            nonlocal ls
+            try:
+                return error(ls, 1 << m)
+            except CountExceedsTotal:
+                ls = extend_spectrum(ls, 1 << m)
+                return error(ls, 1 << m)
+
+        return cache(at)
 
     return (
-        cache(lambda m: _concentration(grown(m), 1 << m)[0].error),
-        cache(lambda m: dilution_fidelity(grown(m), 1 << m).error),
+        read(lambda spec, L: _concentration(spec, L)[0].error),
+        read(lambda spec, L: 1.0 - _dilution_mass(spec, L)),
+        lambda m: dilution_fidelity(ls, 1 << m).error,
     )
 
 
@@ -135,9 +208,9 @@ def _gmcre(
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
     m_cap = max(1, N * (sv.rank - 1).bit_length())
     m0 = min(max(round(entropy * N), 1), m_cap)
-    conc, dil = errors_n
+    conc, dil, recovery = errors_n
     if N < n:
-        dil = _errors(power_spectrum(sv, N, 1 << m0))[1]
+        _, dil, recovery = _errors(power_spectrum(sv, N, 1 << m0))
 
     # The window and the branch and bound stay exact in floats while no
     # rounding moves conc down, or dil up, by the slack between any two m.
@@ -149,7 +222,7 @@ def _gmcre(
     # spectrum alive until the cycle collector runs.
     bound = conc(m0) + dil(m0) + _WINDOW_SLACK
     last = _last_passing(lambda m: conc(m) <= bound, m0, m_cap + 1, m0 + 1)
-    first = bisect_left(range(m0), True, lo=1, key=lambda m: dil(m) <= bound)
+    first = _last_passing(lambda m: dil(m) > bound, 0, m0, m0 - 1) + 1
 
     def key(m: int) -> tuple[float, int]:
         return conc(m) + dil(m), m
@@ -167,7 +240,7 @@ def _gmcre(
         delta=delta,
         optimal_m=m,
         concentration_error=conc(m),
-        recovery_error=dil(m),
+        recovery_error=recovery(m),
         n=n,
         N=N,
     )
@@ -201,7 +274,8 @@ def recoverable_points(
 
     ``None`` means only N = 0 qualifies: recovering nothing costs nothing.
     The search relies on the trade-off error being non-decreasing in N, and
-    brackets each budget from the one below it (see the module docstring).
+    brackets each budget from the points evaluated for the budgets below it
+    (see the module docstring).
     The n-copy spectrum, the points evaluated and their concentration
     errors are shared across the grid and dropped on return.
 
@@ -221,24 +295,28 @@ def recoverable_points(
     spec_n = power_spectrum(sv, n, _HEAD)
     prof = profile(sv)
     errors_n = _errors(spec_n)
-    point = cache(lambda N: _gmcre(spec_n, N, prof.entropy_S, errors_n))
+    points: dict[int, TradeoffResult] = {}
+
+    def delta(N: int) -> float:
+        if N not in points:
+            points[N] = _gmcre(spec_n, N, prof.entropy_S, errors_n)
+        return points[N].delta
+
     found: dict[float, Union[TradeoffResult, None]] = {}
     N = offset = 0
     for eps in sorted(set(eps_grid)):
-        def passes(N: int) -> bool:
-            return point(N).delta <= eps
-
         warm = _NOISE_BUDGET < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
         if warm:
-            # Without the second-order guess the gallop builds more spectra
-            # than the cold search (fig4 grid, p = 0.077, n = 3000: 175
-            # against 107; 65 with it).
+            # The second-order guess pays: on the fig4 grid at p = 0.077,
+            # n = 3000, a gallop without it built 175 spectra, more than the
+            # cold search's 107, and this search with it builds 51.
             approx = int(nmax_approx(sv, n, eps))
-            N = _last_passing(passes, N, n + 1, min(max(approx + offset, N + 1), n))
+            known = {M: p.delta for M, p in points.items()}
+            N = _last_within(delta, known, eps, n + 1, approx + offset)
             offset = N - approx
         else:
-            N = _last_passing(passes, 0, n + 1, 0)
-        found[eps] = point(N) if N else None
+            N = _last_passing(lambda M: delta(M) <= eps, 0, n + 1, 0)
+        found[eps] = points[N] if N else None
     return [found[eps] for eps in eps_grid]
 
 

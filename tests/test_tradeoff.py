@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import itertools
 import math
 import random
 import weakref
@@ -17,6 +18,7 @@ from concrec import (
     concentration_fidelity,
     delta_curve,
     dilution_fidelity,
+    extend_spectrum,
     generalized_mcre,
     make_schmidt,
     max_recoverable,
@@ -27,8 +29,8 @@ from concrec import (
 )
 from concrec.asymptotics import profile
 from concrec.conversion import concentration_fidelity, dilution_fidelity
-from concrec.errors import InvalidEpsilon, InvalidRange
-from concrec import spectrum
+from concrec.errors import CountExceedsTotal, InvalidEpsilon, InvalidRange
+from concrec import conversion, spectrum
 from concrec.spectrum import _HEAD
 
 from _oracles import dense_delta, exact_qubit_errors, full_scan_tradeoff, short_mantissa
@@ -375,6 +377,7 @@ def last_passing_cases(draw):
 @example((5, 6, 6, 5))
 @example((0, 3001, 1484, 0))  # the cold bisection
 @example((1407, 3001, 1484, 1408))  # the window's upper end for mcre, p = 0.1, n = 3000
+@example((0, 1407, 1323, 1406))  # its lower end, galloping down from m0
 def test_last_passing_equals_a_linear_scan(case):
     lo, hi, threshold, probe = case
     called = []
@@ -387,6 +390,72 @@ def test_last_passing_equals_a_linear_scan(case):
     called.clear()
     assert tradeoff._last_passing(passes, lo, hi, probe) == expected
     assert all(lo < x < hi for x in called), called
+
+
+@st.composite
+def delta_tables(draw):
+    """A non-decreasing delta table over N = 1..n, with plateaus, equal
+    steps and jumps; budgets at its values, between them and beside them,
+    out of order and repeated; and the second-order guesses that the N
+    search starts from, inside [1, n] or outside it."""
+    n = draw(st.integers(1, 120))
+    step = st.sampled_from([0.0, 0.0, 0.004, 0.004, 0.05, 0.4])
+    steps = draw(st.lists(step, min_size=n, max_size=n))
+    base = draw(st.sampled_from([1e-6, 0.002, 0.3]))
+    table = [base + s for s in itertools.accumulate(steps)]
+    values = sorted(set(table))
+    ends = [base / 2, values[-1] + 0.01, 1.0]
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    budgets = [eps for eps in values + between + ends if 0.0 < eps <= 1.0]
+    indices = draw(st.lists(st.integers(0, 200), min_size=1, max_size=8))
+    picks = [budgets[i % len(budgets)] for i in indices]
+    guesses = draw(st.lists(st.floats(-20.0, n + 20.0), min_size=1, max_size=4))
+    return table, picks + picks[::-2], guesses
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(delta_tables())
+@example(([0.001] * 98 + [0.9] * 2, [0.01], [1.0]))  # one step, far above the gallop's last pass
+@example(([0.001] * 5, [0.5, 0.2], [3.0]))  # every N passes
+@example(([0.5] * 5, [0.1, 0.2], [3.0]))  # none does
+@example(([0.1, 0.2, 0.3, 0.4], [0.25, 0.26, 0.3, 0.25], [2.0]))  # lo + 1 == hi after 0.25
+def test_n_search_equals_a_linear_scan(case):
+    # recoverable_points over a fake trade-off point that reads delta from
+    # a table.  Each warm budget's search calls delta only inside the
+    # bracket (lo, hi) that the points evaluated so far leave, at no N
+    # evaluated before, and at most 3 ceil(log2(hi - lo)) + 1 times.
+    table, grid, guesses = case
+    n, evaluated, guess = len(table), [], itertools.cycle(guesses)
+    real = tradeoff._last_within
+
+    def point(spec_n, N, entropy, errors_n):
+        evaluated.append(N)
+        return tradeoff.TradeoffResult(table[N - 1], 1, 0.0, table[N - 1], n, N)
+
+    def search(delta, known, eps, top, probe):
+        lo = max([0] + [N for N, d in known.items() if d <= eps])
+        hi = min([top] + [N for N in known if N > lo])
+        calls = []
+
+        def recorded(N):
+            assert lo < N < hi and N not in known and N not in calls, (lo, N, hi)
+            calls.append(N)
+            return delta(N)
+
+        found = real(recorded, known, eps, top, probe)
+        assert found == lo or found in calls
+        assert len(calls) <= (3 * (hi - lo - 1).bit_length() + 1 if hi - lo > 1 else 0), calls
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tradeoff, "_gmcre", point)
+        mp.setattr(tradeoff, "nmax_approx", lambda sv, n, eps: next(guess))
+        mp.setattr(tradeoff, "_last_within", search)
+        points = recoverable_points(make_schmidt([0.1, 0.9]), n, grid)
+    for eps, found in zip(grid, points):
+        scan = max((N for N in range(1, n + 1) if table[N - 1] <= eps), default=0)
+        assert (found.N if found else 0) == scan
+    assert len(evaluated) == len(set(evaluated))
 
 
 @st.composite
@@ -443,6 +512,50 @@ def test_grid_search_brackets_each_budget_at_large_n(seed):
             else:
                 assert N == 0 or delta(N) <= eps
                 assert N == n or delta(N + 1) > eps
+
+
+@pytest.mark.parametrize("probs, n", [([0.1, 0.9], 400), ([0.3, 0.7], 150), ([0.5, 0.3, 0.2], 40)])
+def test_dilution_error_reads_equal_dilution_fidelity(monkeypatch, probs, n):
+    # The search reads each dilution error as 1 - conversion._dilution_mass,
+    # bit for bit dilution_fidelity's error, on heads, partial, extended and
+    # full spectra.  Past an incomplete spectrum's total both raise
+    # CountExceedsTotal, and the search's read then grows it exactly once.
+    sv = make_schmidt(probs)
+    full = power_spectrum(sv, n)
+    partial = power_spectrum(sv, n, 1 << (n // 4))
+    extended = extend_spectrum(partial, partial.total_count + 1)
+    spectra = [full, power_spectrum(sv, n, _HEAD), partial, extended]
+    assert all(ls.complete for ls in spectra) == (sv.rank > 2)
+    grown = []
+    real = tradeoff.extend_spectrum
+
+    def extend(ls, count):
+        grown.append(count)
+        return real(ls, count)
+
+    monkeypatch.setattr(tradeoff, "extend_spectrum", extend)
+    for ls in spectra:
+        total, k = ls.total_count, ls.num_levels
+        # At level starts, one past them, and at the total.
+        counts = {ls.starts[j] + one for j in (1, k // 2, k - 1) for one in (0, 1)} | {total}
+        for L in sorted(counts):
+            error = (1.0 - conversion._dilution_mass(ls, L)).hex()
+            assert error == dilution_fidelity(ls, L).error.hex()
+            assert error == dilution_fidelity(full, L).error.hex()
+        past = total + 1
+        if ls.complete:
+            error = (1.0 - conversion._dilution_mass(ls, past)).hex()
+            assert error == dilution_fidelity(ls, past).error.hex()
+        else:
+            for read in (conversion._dilution_mass, dilution_fidelity):
+                with pytest.raises(CountExceedsTotal):
+                    read(ls, past)
+        m = past.bit_length()  # 2^m > total
+        grown.clear()
+        _, dil, recovery = tradeoff._errors(ls)
+        assert dil(m).hex() == recovery(m).hex() == dilution_fidelity(full, 1 << m).error.hex()
+        assert dil(m - 1) == dilution_fidelity(full, 1 << (m - 1)).error
+        assert grown == ([] if ls.complete else [1 << m])
 
 
 @pytest.mark.parametrize("N", [600, 250])
@@ -546,17 +659,20 @@ def test_grid_search_converts_each_concentration_dimension_once(monkeypatch):
 
         return call
 
-    for name in ("power_spectrum", "_concentration", "dilution_fidelity"):
+    # The search reads dilution errors through _dilution_mass, and each
+    # point's record through dilution_fidelity.
+    for name in ("power_spectrum", "_concentration", "_dilution_mass", "dilution_fidelity"):
         monkeypatch.setattr(tradeoff, name, recording(name))
     grid = [0.05 * i for i in range(1, 20)]
     recoverable_points(make_schmidt([0.1, 0.9]), 3000, grid)
     assert targets
     assert len(targets) == len(set(targets))
-    # The warm N bracket probes few copy counts and the branch and bound
-    # few EPR counts per point: 61 builds and 2,871 dilution calls here,
-    # against 107 and 14,231 for a cold bisection over a scanned window.
-    assert calls["power_spectrum"] <= 75
-    assert calls["dilution_fidelity"] <= 3500
+    # The N search probes few copy counts and the branch and bound few EPR
+    # counts per point: 57 builds and 2,516 + 57 dilution reads here, about
+    # 10% under these bounds, against 107 and 14,231 for a cold bisection
+    # over a scanned window.
+    assert calls["power_spectrum"] <= 62
+    assert calls["_dilution_mass"] + calls["dilution_fidelity"] <= 2800
 
 
 def _assert_monotone_within_slack(sv, n):
