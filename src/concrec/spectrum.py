@@ -63,9 +63,8 @@ level lies above -1 (see ``_assemble``).
 
 What a spectrum answers is decided in one place, ``_log2_split`` (the rule
 is in :class:`LeveledSpectrum`), and what is built past it in another,
-:func:`extend_spectrum`: a partial spectrum continues its ladder from its
-last level, and a head, or a partial spectrum whose ladder cannot continue,
-becomes the full build.
+:func:`extend_spectrum`: a partial spectrum is rebuilt from level 0 down to
+the count read, and a head becomes the full build.
 
 *Certified counts.*  Partial spectra and heads run their ladder on a P-bit
 mantissa and an exponent, P = ``_MANTISSA``.  Each step multiplies the
@@ -199,16 +198,13 @@ class _LadderStarts(Sequence[int]):
     highest of those levels.  A read past them counts on from there into a
     new list and publishes it, with its count, in one assignment, so a
     concurrent read sees one pair or the other, and threads that count the
-    same levels publish equal values.  ``last`` is the state that a partial
-    spectrum's ladder continues from: the bound m 2^e of the last level's
-    count as (e, m), and the running start at that exponent.
-    The cut ``[:stop]`` that ``_assemble`` makes is again a ladder's
-    starts; any other slice is a tuple of exact starts.
+    same levels publish equal values.  The cut ``[:stop]`` that
+    ``_assemble`` makes is again a ladder's starts; any other slice is a
+    tuple of exact starts.
     """
 
     def __init__(self, n: int, bits: int, lo: list[int], known: tuple[list[int], int]):
         self.n, self.bits, self.lo, self.known = n, bits, lo, known
-        self.last: Optional[tuple[int, int, int]] = None
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -375,7 +371,8 @@ class LeveledSpectrum:
     entries past its total are zero padding; an incomplete spectrum, or a
     column that was not built, raises ``CountExceedsTotal``; and a prefix of
     0 entries is -inf.  :func:`extend_spectrum` grows an incomplete spectrum
-    until it answers a count.
+    until it answers a count: a partial spectrum is rebuilt from level 0, a
+    head becomes the full build.
     """
 
     base: SchmidtVector
@@ -577,7 +574,7 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
         if count is not _HEAD and count < 1:
             raise ValueError("count must be positive")
         if sizes == [1, 1]:
-            partial = _leading_levels(sv, n, count, None)
+            partial = _leading_levels(sv, n, count)
             if partial is not None:
                 return partial
     return _full_spectrum(sv, n)
@@ -586,28 +583,20 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
 def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
     """``ls`` grown until it answers ``count`` entries.
 
-    Returns ``ls`` itself when it is complete or already holds them.  A
-    partial spectrum continues its ladder from its last level, so no built
-    level is computed again.  A head, or a partial spectrum whose ladder
-    cannot continue (where :func:`power_spectrum` builds in full), becomes
-    the full build.
+    Returns ``ls`` itself when it is complete or already holds them.
+    Otherwise :func:`power_spectrum` builds it again from level 0: a partial
+    spectrum for ``count``, so it may come back complete where that builds
+    in full, and a head in full.
     """
     if ls.complete or _covers(ls, count):
         return ls
-    if ls.suffix_log2_mass is None:
-        longer = _leading_levels(ls.base, ls.copies, count, ls)
-        if longer is not None:
-            return longer
-    return _full_spectrum(ls.base, ls.copies)
+    return power_spectrum(ls.base, ls.copies, count if ls.suffix_log2_mass is None else None)
 
 
-def _leading_levels(
-    sv: SchmidtVector, n: int, count: int, built: Optional[LeveledSpectrum]
-) -> Optional[LeveledSpectrum]:
+def _leading_levels(sv: SchmidtVector, n: int, count: int) -> Optional[LeveledSpectrum]:
     """Partial n-copy spectrum of a rank-2 state with unequal entries that
-    holds at least ``count`` entries, from level 0 or continuing the partial
-    spectrum ``built``, or its head for ``count`` ``_HEAD``; None where
-    :func:`power_spectrum` builds in full.
+    holds at least ``count`` entries, or its head for ``count`` ``_HEAD``,
+    built from level 0; None where :func:`power_spectrum` builds in full.
 
     Level k holds the C(n, k) entries with k factors of the smaller value,
     and the ladder steps C(n, k) = C(n, k - 1) * (n - k + 1) / k on
@@ -627,12 +616,9 @@ def _leading_levels(
         eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
         if not np.all(eigs[1:] < eigs[:-1]):
             return None
-    old = built.starts if built else _LadderStarts(n, _MANTISSA, [0], ([0], 1))
-    starts = _LadderStarts(n, old.bits, list(old.lo), old.known)
-    prefix = built.prefix_log2_mass if built else np.empty(0)
-    ce, cm, sm = old.last or (0, 1, 0)  # from level 0: its count 1, and start 0
-    bits, lo = starts.bits, starts.lo
-    k = len(lo) - 1
+    starts = _LadderStarts(n, _MANTISSA, [0], ([0], 1))
+    ce, cm, sm = 0, 1, 0  # level 0: its count 1, and start 0
+    bits, lo, k = starts.bits, starts.lo, 0
     # A count with ce > 0 has exactly bits bits; its interval's ends share the
     # top 53 where adding 4k to the low ``top`` bits carries nothing.
     top = bits - 53
@@ -678,10 +664,9 @@ def _leading_levels(
         k += 1
     if not cm << ce <= math.comb(n, k - 1) <= cm + (4 * (k - 1) if ce else 0) << ce:
         raise ArithmeticError("ladder count differs from the binomial count")
-    starts.last = ce, cm, sm
     e = np.arange(n, n - k, -1, dtype=np.int64)
     eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
-    return _assemble(sv, n, starts, eigs, np.array(logs, dtype=np.float64), prefix, tail)
+    return _assemble(sv, n, starts, eigs, np.array(logs, dtype=np.float64), tail)
 
 
 def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
@@ -705,7 +690,7 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
-    return _assemble(sv, n, starts, eigs[order], log2_mults[order], eigs[:0], NEG_INF)
+    return _assemble(sv, n, starts, eigs[order], log2_mults[order], NEG_INF)
 
 
 def _assemble(
@@ -714,12 +699,11 @@ def _assemble(
     starts: Sequence[int],
     log2_eigs: np.ndarray,
     log2_counts: np.ndarray,
-    built: np.ndarray,
     tail: Optional[float],
 ) -> Optional[LeveledSpectrum]:
-    """The spectrum of sorted levels: ``starts``, their log2 eigenvalues and,
-    for the levels after the ``built`` prefix column (empty unless a partial
-    spectrum is continued), their log2 counts.
+    """The spectrum of sorted levels: ``starts``, their log2 eigenvalues and
+    their log2 counts, every level from level 0, so each mass column is one
+    running log-add.
 
     ``tail`` is None for a partial spectrum, which gets the prefix column
     only.  Otherwise it bounds the log2 mass of the levels left out: -inf
@@ -731,11 +715,8 @@ def _assemble(
     refuses a partial prefix above 1, or any other total away from 1, by
     more than ``_MASS_GUARD``, and refuses a NaN total.
     """
-    mass = log2_counts + log2_eigs[len(built):]
-    # Seeded with the last built prefix value, the running log-add continues
-    # exactly where the built levels stopped.
-    acc = np.logaddexp2.accumulate(np.concatenate((built[-1:], mass)))
-    prefix = np.concatenate((built[:-1], acc))
+    mass = log2_counts + log2_eigs
+    prefix = np.logaddexp2.accumulate(mass)
     if not (prefix[-1] if tail is None else abs(prefix[-1])) <= _MASS_GUARD:
         raise ArithmeticError("spectrum mass drifted from 1; construction is broken")
     if tail is None:

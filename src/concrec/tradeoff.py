@@ -60,12 +60,14 @@ the spectrum does not answer raises ``CountExceedsTotal``, the spectrum is
 grown with ``extend_spectrum`` (see ``concrec.spectrum``) and read again,
 and the grown spectrum serves every later read.  Below N = n the N-copy
 spectrum is read only by the dilution term, which reads its top 2^m
-entries.  So it is built as a partial spectrum down to 2^m0, and the
-window's upper end is found on concentration errors alone; the first
-dilution read past it, at that end, continues it once.  Where a read lies
-past the n-copy head, as where the head does not reach 2^m0, it grows the
-head into the full spectrum, once for both errors at N = n, with the same
-result.
+entries.  So it is built once as a partial spectrum, down to 2^m for m
+four Gaussian widths sqrt(V N) past m0 (see ``_gmcre``), and the window's
+upper end is found on concentration errors alone.  The first dilution read
+at that end is the largest m the point reads; where it lies past the
+partial spectrum, the spectrum is rebuilt from level 0 down to it, once.
+Where a read lies past the n-copy head, as where the head does not reach
+2^m0, it grows the head into the full spectrum, once for both errors at
+N = n.  Either way the result is the same.
 
 The head and the partial N-copy spectra hold certified counts, not exact
 ones (see ``concrec.spectrum``), and the search reads them only through
@@ -80,12 +82,13 @@ record reads its recovery error once more through the public
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .asymptotics import nmax_approx, profile
+from .asymptotics import AsymptoticProfile, nmax_approx, profile
 from .conversion import _concentration, _dilution_mass, dilution_fidelity
 from .errors import CountExceedsTotal, InvalidEpsilon, InvalidRange
 from .spectrum import _HEAD, LeveledSpectrum, SchmidtVector, extend_spectrum, power_spectrum
@@ -110,6 +113,10 @@ _WINDOW_SLACK = 1e-12
 # Deltas carry a float floor that grows about linearly in n (3.04e-12 for
 # p = 0.1 at n = 6e4), so this leaves a margin of over 300 there.
 _NOISE_BUDGET = 1e-9
+
+# The N-copy spectrum below N = n is built down to 2^m for m this many
+# standard deviations sqrt(V N) past m0 (see _gmcre).
+_REACH_SIGMAS = 4
 
 
 def _last_passing(passes: Callable[[int], bool], lo: int, hi: int, probe: int) -> int:
@@ -179,8 +186,9 @@ def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], ...]:
     functions of m, and the dilution error at an m already read, through
     the public ``dilution_fidelity``, for a point's record.  A read that
     ``ls`` does not answer raises ``CountExceedsTotal``; then ``ls`` is
-    grown by ``extend_spectrum``, and the grown spectrum serves every later
-    read of either error."""
+    grown by ``extend_spectrum`` (a partial spectrum rebuilt from level 0
+    down to the read, a head built in full), and the grown spectrum serves
+    every later read of either error."""
 
     def read(error: Callable[[LeveledSpectrum, int], float]) -> Callable[[int], float]:
         def at(m: int) -> float:
@@ -201,16 +209,36 @@ def _errors(ls: LeveledSpectrum) -> tuple[Callable[[int], float], ...]:
 
 
 def _gmcre(
-    spec_n: LeveledSpectrum, N: int, entropy: float, errors_n: tuple[Callable[[int], float], ...]
+    spec_n: LeveledSpectrum,
+    N: int,
+    prof: AsymptoticProfile,
+    errors_n: tuple[Callable[[int], float], ...],
 ) -> TradeoffResult:
-    """Trade-off point at N; ``errors_n`` is ``_errors(spec_n)``."""
+    """Trade-off point at N; ``errors_n`` is ``_errors(spec_n)`` and ``prof``
+    the state's profile.
+
+    Below N = n the N-copy spectrum is built once, down to 2^reach entries,
+    reach = m0 + floor(4 sqrt(V N)) + 1, capped at ``m_cap``.  A Gaussian
+    width is enough since the window scales with it: to second order the
+    dilution error at 2^m is 1 - G((m - S N) / sqrt(V N)), and the
+    concentration error moves over widths sqrt(V n) near S n, so where the
+    search probes, at N whose delta meets a budget away from 0 and 1, the
+    window spans a few widths around m0.  Four widths hold its upper end at
+    all but 15 of the 482 points of ten fig4 searches at n = 3000 (p from
+    0.077 to 0.241), and at every point of three at n = 3e4.  The largest m
+    a point reads is the branch and bound's first read, at the window's
+    upper end; a read past the reach rebuilds the spectrum from level 0 down
+    to it (see ``_errors``), so a point rebuilds at most once, and the
+    result does not depend on the reach.
+    """
     sv, n = spec_n.base, spec_n.copies
     # max(1, ...) keeps rank-1 inputs searchable; their best m is 1 anyway.
     m_cap = max(1, N * (sv.rank - 1).bit_length())
-    m0 = min(max(round(entropy * N), 1), m_cap)
+    m0 = min(max(round(prof.entropy_S * N), 1), m_cap)
     conc, dil, recovery = errors_n
     if N < n:
-        _, dil, recovery = _errors(power_spectrum(sv, N, 1 << m0))
+        reach = min(m0 + int(_REACH_SIGMAS * math.sqrt(prof.variance_V * N)) + 1, m_cap)
+        _, dil, recovery = _errors(power_spectrum(sv, N, 1 << reach))
 
     # The window and the branch and bound stay exact in floats while no
     # rounding moves conc down, or dil up, by the slack between any two m.
@@ -257,7 +285,7 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
     spec_n = power_spectrum(sv, n, _HEAD)
-    return _gmcre(spec_n, N, profile(sv).entropy_S, _errors(spec_n))
+    return _gmcre(spec_n, N, profile(sv), _errors(spec_n))
 
 
 def mcre(sv: SchmidtVector, n: int) -> TradeoffResult:
@@ -299,7 +327,7 @@ def recoverable_points(
 
     def delta(N: int) -> float:
         if N not in points:
-            points[N] = _gmcre(spec_n, N, prof.entropy_S, errors_n)
+            points[N] = _gmcre(spec_n, N, prof, errors_n)
         return points[N].delta
 
     found: dict[float, Union[TradeoffResult, None]] = {}

@@ -753,17 +753,6 @@ def test_partial_build_rejects_an_empty_count():
         power_spectrum(make_schmidt([0.9, 0.1]), 3, 0)
 
 
-def test_seeded_accumulate_continues_one_accumulate():
-    # extend_spectrum continues a prefix column by seeding the running
-    # log-add with its last value; this pins numpy's accumulate to that.
-    pieces = np.random.default_rng(16).uniform(-60.0, 0.0, 10_000)
-    whole = np.logaddexp2.accumulate(pieces)
-    for cut in (1, 137, 5_000, 9_999):
-        head = np.logaddexp2.accumulate(pieces[:cut])
-        rest = np.logaddexp2.accumulate(np.concatenate((head[-1:], pieces[cut:])))
-        assert np.concatenate((head[:-1], rest)).tobytes() == whole.tobytes()
-
-
 class TestLevelBoundaries:
     def test_examples(self):
         assert power_spectrum(make_schmidt([0.1, 0.9]), 2).starts == (0, 1, 3, 4)
@@ -909,4 +898,4 @@ def test_mass_guard_refuses_a_nan_total(tail):
     sv = make_schmidt([0.9, 0.1])
     eigs = np.array([math.log2(0.9), math.log2(0.1)])
     with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="mass"):
-        _assemble(sv, 1, (0, 1, 2), eigs, np.array([0.0, np.nan]), eigs[:0], tail)
+        _assemble(sv, 1, (0, 1, 2), eigs, np.array([0.0, np.nan]), tail)

@@ -226,6 +226,46 @@ class TestRecoverablePoints:
         assert alive == []
 
 
+def _hexed(point):
+    """A trade-off point's fields, each float as ``float.hex``."""
+    return point and tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(point))
+
+
+@pytest.mark.parametrize("n", [400, 3000])
+@pytest.mark.parametrize("p", [0.077, 0.1, 0.235, 0.5 - 1e-14])
+def test_results_do_not_depend_on_the_reach(monkeypatch, p, n):
+    # Below N = n a point builds its N-copy spectrum down to a Gaussian reach
+    # past m0, and a read past it rebuilds the spectrum from level 0.  With
+    # no width the reach is m0 + 1, so almost every point rebuilds; past
+    # m_cap every point reads a spectrum down to 2^m_cap, which for a qubit
+    # is the full build.  Every result is equal bit for bit either way.
+    sv = make_schmidt([p, 1.0 - p])
+    budgets = [0.05 * i for i in range(1, 20)] + [1e-13, 5e-13, 1e-15, 2e-12, 1e-10]
+    builds = []
+    real = spectrum._leading_levels
+
+    def counted(sv, copies, count):
+        builds[-1][copies] += 1
+        return real(sv, copies, count)
+
+    def results():
+        points = []
+        for N in (1, n // 3, n - 1, n):
+            builds.append(Counter())
+            points.append(generalized_mcre(sv, n, N))
+        builds.append(Counter())
+        points += recoverable_points(sv, n, budgets)
+        return [_hexed(point) for point in points]
+
+    monkeypatch.setattr(spectrum, "_leading_levels", counted)
+    expected = results()
+    # A point below n builds its ladder once and rebuilds it at most once.
+    assert max(c for call in builds for copies, c in call.items() if copies < n) <= 2
+    for sigmas in (0, 1e300):
+        monkeypatch.setattr(tradeoff, "_REACH_SIGMAS", sigmas)
+        assert results() == expected
+
+
 def test_recovery_spectra_are_built_partially(monkeypatch):
     real = tradeoff.power_spectrum
     built = []
@@ -517,14 +557,15 @@ def test_grid_search_brackets_each_budget_at_large_n(seed):
 @pytest.mark.parametrize("probs, n", [([0.1, 0.9], 400), ([0.3, 0.7], 150), ([0.5, 0.3, 0.2], 40)])
 def test_dilution_error_reads_equal_dilution_fidelity(monkeypatch, probs, n):
     # The search reads each dilution error as 1 - conversion._dilution_mass,
-    # bit for bit dilution_fidelity's error, on heads, partial, extended and
+    # bit for bit dilution_fidelity's error, on heads, partial, rebuilt and
     # full spectra.  Past an incomplete spectrum's total both raise
-    # CountExceedsTotal, and the search's read then grows it exactly once.
+    # CountExceedsTotal, and the search's read then grows it exactly once:
+    # a partial spectrum is rebuilt from level 0, a head built in full.
     sv = make_schmidt(probs)
     full = power_spectrum(sv, n)
     partial = power_spectrum(sv, n, 1 << (n // 4))
-    extended = extend_spectrum(partial, partial.total_count + 1)
-    spectra = [full, power_spectrum(sv, n, _HEAD), partial, extended]
+    rebuilt = extend_spectrum(partial, partial.total_count + 1)
+    spectra = [full, power_spectrum(sv, n, _HEAD), partial, rebuilt]
     assert all(ls.complete for ls in spectra) == (sv.rank > 2)
     grown = []
     real = tradeoff.extend_spectrum
@@ -663,16 +704,28 @@ def test_grid_search_converts_each_concentration_dimension_once(monkeypatch):
     # point's record through dilution_fidelity.
     for name in ("power_spectrum", "_concentration", "_dilution_mass", "dilution_fidelity"):
         monkeypatch.setattr(tradeoff, name, recording(name))
+    grown = []
+    real_extend = tradeoff.extend_spectrum
+
+    def extend(ls, count):
+        longer = real_extend(ls, count)
+        if longer is not ls:
+            grown.append(count)
+        return longer
+
+    monkeypatch.setattr(tradeoff, "extend_spectrum", extend)
     grid = [0.05 * i for i in range(1, 20)]
     recoverable_points(make_schmidt([0.1, 0.9]), 3000, grid)
     assert targets
     assert len(targets) == len(set(targets))
     # The N search probes few copy counts and the branch and bound few EPR
-    # counts per point: 57 builds and 2,516 + 57 dilution reads here, about
-    # 10% under these bounds, against 107 and 14,231 for a cold bisection
-    # over a scanned window.
+    # counts per point: 57 builds and 2,462 + 57 dilution reads here, under
+    # these bounds, against 107 and 14,231 for a cold bisection over a
+    # scanned window.  Each N-copy spectrum is built to a Gaussian reach
+    # past m0, so only 2 of the 57 points read past it and rebuild.
     assert calls["power_spectrum"] <= 62
     assert calls["_dilution_mass"] + calls["dilution_fidelity"] <= 2800
+    assert len(grown) <= 5
 
 
 def _assert_monotone_within_slack(sv, n):
