@@ -66,18 +66,18 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     """
     if L < 1:
         raise InvalidDimension(f"target dimension must be >= 1, got {L}")
-    _require_reach(ls, L, ls.suffix_log2_mass)
     starts = ls.starts
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues
     # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
-    # The last boundary below L, i_max, is never tested: exact arithmetic
-    # guarantees the condition there, and float rounding can only miss it
-    # at an exact tie, where either cut choice yields the same fidelity.
-    i_max, bound = _split(starts, L)
-    if bound == NEG_INF:  # L == starts[i_max], so the boundary below L is one level up
-        i_max -= 1
-        bound = _log2_gap(starts, i_max, L)
+    # The last boundary below L, i_max, is the split of L - 1, and lies past
+    # the levels exactly where L exceeds the total.  It is never tested:
+    # exact arithmetic guarantees the condition there, and float rounding
+    # can only miss it at an exact tie, where either cut choice yields the
+    # same fidelity.
+    i_max = _split(starts, L - 1)[0]
+    _require_reach(ls, i_max == ls.num_levels, suffix)
+    bound = _log2_gap(starts, i_max, L)
     # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
     # float subtraction are monotone; so where the bound with the latter
     # leaves the condition a bit short, it is false without reading the gap

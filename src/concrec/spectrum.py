@@ -85,12 +85,18 @@ while N u <= 1, and m < 2^P, the exact count lies in [m 2^e, (m + 4k) 2^e]
 and the exact start in [m 2^e, (m + 8k) 2^e], for k <= 2^(P - 2); a value
 with e = 0 is exact.  Each start's bound is held packed as e 2^P + m, so
 that integer order is the order of the bounds, and a level is found by one
-bisection of a plain list.  A read answers from these intervals where they
-decide it: a comparison with a count where the interval lies on one side of
-it, and ``log2_int`` of a count, or of a count minus a start, where both
-ends have the same bit length and top 53 bits, so that the exact value has
-them too.  Otherwise the read counts exactly: the exact ladder runs from
-level 0 up to the level read, once per spectrum, and keeps what it counted.
+bisection of a plain list.  The ladder takes ``log2_int`` of a count from
+its interval where both ends have the same bit length and top 53 bits, so
+that the exact value has them too.  The certified reads of a start go
+through one view, ``_bound``: a ladder's interval, or an exact start as an
+interval of width 0.  ``_at_most`` compares a start with a count where the
+interval lies on one side of it, and ``_log2_gap`` takes ``log2_int`` of
+their difference where its ends agree as above.  ``_split`` bisects the
+bounds for a count's level, confirms it with ``_at_most`` (or else bisects
+the exact starts below it) and reads its gap with ``_log2_gap``.  Where the
+interval does not decide, the read counts exactly: the exact ladder runs
+from level 0 up to the level read, once per spectrum, and keeps what it
+counted.
 At P = 128 the bounds have decided every read of every trade-off search
 tried, up to n = 1e5.  ``math.comb(n, k)`` must lie in the interval of each
 ladder's last count.
@@ -256,61 +262,47 @@ def _log2_between(x: int, y: int, e: int) -> Optional[float]:
     return None
 
 
-def _at_most(starts: Sequence[int], j: int, count: int) -> bool:
-    """Whether ``starts[j] <= count``, for count >= 0."""
+def _bound(starts: Sequence[int], j: int) -> tuple[int, int, int]:
+    """(e, m, w) such that ``starts[j]`` lies in [m 2^e, (m + w) 2^e]: a
+    ladder's certified bound, or the exact start with e = w = 0."""
     if isinstance(starts, _LadderStarts):
-        e, m, w = starts.bound(j)
-        q = (count >> e) - m
-        if q < 0:  # count < m 2^e
-            return False
-        if q >= w:  # (m + w) 2^e <= count
-            return True
-    return starts[j] <= count
+        return starts.bound(j)
+    return 0, starts[j], 0
+
+
+def _at_most(starts: Sequence[int], j: int, count: int) -> bool:
+    """Whether ``starts[j] <= count``, for count >= -1."""
+    e, m, w = _bound(starts, j)
+    q = (count >> e) - m  # count lies in [(m + q) 2^e, (m + q + 1) 2^e)
+    return q >= w or (q >= 0 and starts[j] <= count)
 
 
 def _split(starts: Sequence[int], count: int) -> tuple[int, float]:
     """The last level i with ``starts[i] <= count``, for count >= 0, which
-    holds entry count + 1, and ``log2_int(count - starts[i])``, or -inf where
-    they are equal."""
-    if not isinstance(starts, _LadderStarts):
-        i = bisect_right(starts, count) - 1
-        start = starts[i]
-    else:
+    holds entry count + 1, and ``_log2_gap(starts, i, count)``."""
+    if isinstance(starts, _LadderStarts):
         i = bisect_right(starts.lo, starts.pack(count)) - 1  # the last bound <= count
-        e, start, w = starts.bound(i)
-        if e:
-            q = (count >> e) - start
-            if q > w:  # count - starts[i] lies in [(q - w) 2^e, (q + 1) 2^e)
-                log2 = _log2_between(q - w, q, e)
-                if log2 is not None:
-                    return i, log2
-            i = bisect_right(range(i + 1), count, key=starts.__getitem__) - 1
-            start = starts[i]
-    kept = count - start
-    return i, log2_int(kept) if kept else NEG_INF
+        if not _at_most(starts, i, count):
+            i = bisect_right(range(i), count, key=starts.__getitem__) - 1
+    else:
+        i = bisect_right(starts, count) - 1
+    return i, _log2_gap(starts, i, count)
 
 
 def _log2_gap(starts: Sequence[int], j: int, count: int) -> float:
     """``log2_int(abs(count - starts[j]))``, or -inf where they are equal."""
-    if isinstance(starts, _LadderStarts):
-        e, m, w = starts.bound(j)
-        q, log2 = (count >> e) - m, None
+    e, m, w = _bound(starts, j)
+    q = (count >> e) - m  # count - starts[j] where the bound is exact, w = 0
+    if w:
+        log2 = None
         if q > w:  # count - starts[j] lies in [(q - w) 2^e, (q + 1) 2^e)
             log2 = _log2_between(q - w, q, e)
         elif q < -1:  # starts[j] - count lies in [(-q - 1) 2^e, (w - q + 1) 2^e)
             log2 = _log2_between(-q - 1, w - q, e)
         if log2 is not None:
             return log2
-        start = starts[j] if e else m  # with e = 0 the bound is exact
-    else:
-        start = starts[j]
-    gap = abs(count - start)
-    return log2_int(gap) if gap else NEG_INF
-
-
-def _covers(ls: LeveledSpectrum, count: int) -> bool:
-    """Whether ``count <= ls.total_count``, for count >= 0."""
-    return not _at_most(ls.starts, len(ls.starts) - 1, count - 1)
+        q = count - starts[j]
+    return log2_int(abs(q)) if q else NEG_INF
 
 
 def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
@@ -370,9 +362,11 @@ class LeveledSpectrum:
     ``ValueError``; past ``total_count`` a complete spectrum clamps, since the
     entries past its total are zero padding; an incomplete spectrum, or a
     column that was not built, raises ``CountExceedsTotal``; and a prefix of
-    0 entries is -inf.  :func:`extend_spectrum` grows an incomplete spectrum
-    until it answers a count: a partial spectrum is rebuilt from level 0, a
-    head becomes the full build.
+    0 entries is -inf.  Whether a count lies past the total is read from the
+    count's split, the level it falls in, which the query reads anyway; the
+    total is not compared again.  :func:`extend_spectrum` grows an
+    incomplete spectrum until it answers a count: a partial spectrum is
+    rebuilt from level 0, a head becomes the full build.
     """
 
     base: SchmidtVector
@@ -401,11 +395,12 @@ class LeveledSpectrum:
         return self.suffix_log2_mass is not None and bool(self.suffix_log2_mass[-1] == NEG_INF)
 
 
-def _require_reach(ls: LeveledSpectrum, count: int, column: Optional[np.ndarray]) -> None:
+def _require_reach(ls: LeveledSpectrum, past: bool, column: Optional[np.ndarray]) -> None:
     """Raise ``CountExceedsTotal`` unless ``ls`` answers a read of ``column``
-    at ``count``: the column must be built, and only a complete spectrum
-    answers counts past its total."""
-    if column is None or not (ls.complete or _covers(ls, count)):
+    at a count that lies ``past`` its total or not, as the caller's split of
+    that count shows: the column must be built, and only a complete
+    spectrum answers counts past its total."""
+    if column is None or (past and not ls.complete):
         raise CountExceedsTotal(f"a read past the {ls.num_levels} built levels of the spectrum")
 
 
@@ -588,7 +583,7 @@ def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
     spectrum for ``count``, so it may come back complete where that builds
     in full, and a head in full.
     """
-    if ls.complete or _covers(ls, count):
+    if ls.complete or not _at_most(ls.starts, ls.num_levels, count - 1):
         return ls
     return power_spectrum(ls.base, ls.copies, count if ls.suffix_log2_mass is None else None)
 
@@ -757,8 +752,9 @@ def _log2_split(
         raise ValueError("count must be non-negative")
     starts = ls.starts
     i, log2_kept = _split(starts, count)  # log2 of the entries of level i among the top count
-    if whole is None or (i == ls.num_levels and log2_kept != NEG_INF):
-        _require_reach(ls, count, whole)
+    past = i == ls.num_levels and log2_kept != NEG_INF  # count > ls.total_count
+    if whole is None or past:
+        _require_reach(ls, past, whole)
         log2_kept = NEG_INF  # a complete spectrum clamps to its total
     if log2_kept == NEG_INF:
         if tail:

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -608,6 +609,46 @@ def test_thinned_head_starts_equal_the_full_builds(p, n):
     for index in (k + 1, -k - 2):
         with pytest.raises(IndexError):
             head.starts[index]
+
+
+@pytest.mark.parametrize("bits", [60, spectrum._MANTISSA])
+@pytest.mark.parametrize(
+    "p, n, log2_count",
+    [(0.1, 3000, None), (0.25, 3000, None), (0.02, 2000, None), (0.2, 700, None),
+     (0.1, 2800, 1500), (0.235, 2900, 2400)],
+)
+def test_certified_reads_equal_exact_arithmetic(p, n, log2_count, bits):
+    # The split, the gap and the comparison, read from a ladder's certified
+    # bounds, against the same arithmetic on its exact starts.  The exact
+    # starts come from a second build, so that taking them counts no start
+    # of the spectrum read: it counts only where its own build or reads
+    # fall back to exact counting.  The counts sit on and around every
+    # start, where the bounds decide least, at every power of two, the
+    # dimensions the trade-off reads, and at twice and half of sampled
+    # starts.  At 60 bits most reads fall back to exact counting; at the
+    # library's mantissa the bounds decide them.  A head where no count is
+    # given, else a partial spectrum.
+    sv = make_schmidt([p, 1.0 - p])
+    count = _HEAD if log2_count is None else 1 << log2_count
+    with short_mantissa(bits):
+        ls = power_spectrum(sv, n, count)
+        exact = tuple(power_spectrum(sv, n, count).starts)
+        assert not ls.complete
+        total, k = exact[-1], len(exact) - 1
+        counts = {s + d for s in exact for d in range(-2, 3)}
+        counts.update(1 << b for b in range(total.bit_length()))
+        for j in np.random.default_rng(n).integers(0, k + 1, 60).tolist():
+            counts.update((2 * exact[j], exact[j] // 2))
+
+        def gap(j, c):
+            return log2_int(abs(c - exact[j])) if c != exact[j] else NEG_INF
+
+        for c in sorted(c for c in counts if c >= 0):
+            i = bisect_right(exact, c) - 1
+            assert spectrum._split(ls.starts, c) == (i, gap(i, c)), c
+            for j in {max(i - 1, 0), i, min(i + 1, k)}:
+                assert spectrum._at_most(ls.starts, j, c) == (exact[j] <= c), (j, c)
+                assert spectrum._log2_gap(ls.starts, j, c) == gap(j, c), (j, c)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.25])
