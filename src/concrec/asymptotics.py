@@ -110,8 +110,8 @@ def nmax_approx(sv: SchmidtVector, n: int, eps: float) -> float:
     n - (2*sqrt(V)/S) * quantile(1 - eps/2) * sqrt(n), not floored."""
     # No S check: entries lie in (0, 1], so no term of S is negative, and
     # V > 0 needs an entry below 1, whose term is positive.
-    _positive_variance(sv)
-    return n - loss_coefficient(sv, eps) * math.sqrt(n)
+    prof = _positive_variance(sv)
+    return n - prof.loss_scale * _critical_value(eps) * math.sqrt(n)
 
 
 def loss_coefficient(sv: SchmidtVector, eps: float) -> float:

@@ -12,6 +12,7 @@ so dimensions like 2^3000 are exact.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -23,7 +24,7 @@ from .spectrum import (
     NEG_INF,
     LeveledSpectrum,
     SchmidtVector,
-    _log2_gap,
+    _compare,
     _split,
     _require_reach,
     log2_int,
@@ -77,7 +78,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     # same fidelity.
     i_max = _split(starts, L - 1)[0]
     _require_reach(ls, i_max == ls.num_levels, suffix)
-    bound = _log2_gap(starts, i_max, L)
+    bound = _compare(starts, i_max, L)[1]
     # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
     # float subtraction are monotone; so where the bound with the latter
     # leaves the condition a bit short, it is false without reading the gap
@@ -88,7 +89,7 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
         # masses.  Python floats: bisect compares the result with True, slowly
         # for numpy.bool_.
         tail, eig = float(suffix[i]), float(eigs[i])
-        return tail - bound >= eig - 1.0 and tail - _log2_gap(starts, i, L) >= eig
+        return tail - bound >= eig - 1.0 and tail - _compare(starts, i, L)[1] >= eig
 
     return bisect_left(range(i_max), True, key=condition)
 
@@ -97,11 +98,12 @@ def _concentration(ls: LeveledSpectrum, L: int) -> tuple[ConversionResult, int]:
     """:func:`concentration_fidelity` with ``flatten_index_J`` None, and the
     level j of its cut, so J = ``ls.starts[j]``.  It reads no exact start of
     a ladder spectrum where the bounds decide (see ``concrec.spectrum``)."""
+    L = operator.index(L)
     j = _flatten_boundary(ls, L)
     log2_L = log2_int(L)
     kept = float(ls.prefix_log2_sqrt_mass[j - 1]) if j else NEG_INF
     first = 2.0 ** (kept - 0.5 * log2_L)
-    rest = _log2_gap(ls.starts, j, L) - log2_L + float(ls.suffix_log2_mass[j])
+    rest = _compare(ls.starts, j, L)[1] - log2_L + float(ls.suffix_log2_mass[j])
     second = 2.0 ** (0.5 * rest)
     fidelity = _clamp_unit(first + second)
     return ConversionResult(fidelity, 1.0 - fidelity * fidelity, None), j

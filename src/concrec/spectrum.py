@@ -87,16 +87,17 @@ with e = 0 is exact.  Each start's bound is held packed as e 2^P + m, so
 that integer order is the order of the bounds, and a level is found by one
 bisection of a plain list.  The ladder takes ``log2_int`` of a count from
 its interval where both ends have the same bit length and top 53 bits, so
-that the exact value has them too.  The certified reads of a start go
-through one view, ``_bound``: a ladder's interval, or an exact start as an
-interval of width 0.  ``_at_most`` compares a start with a count where the
-interval lies on one side of it, and ``_log2_gap`` takes ``log2_int`` of
-their difference where its ends agree as above.  ``_split`` bisects the
-bounds for a count's level, confirms it with ``_at_most`` (or else bisects
-the exact starts below it) and reads its gap with ``_log2_gap``.  Where the
-interval does not decide, the read counts exactly: the exact ladder runs
-from level 0 up to the level read, once per spectrum, and keeps what it
-counted.
+that the exact value has them too.  One reader, ``_compare``, reads a
+start's bound once and gives both whether the start is at most a count and
+``log2_int`` of their difference, where the interval lies on one side of the
+count and its ends agree as above.  ``_split`` bisects the bounds for a
+count's level i and reads start i; where that start lies above the count,
+the level is i - 1, by a bound on the interval's width (see ``_split``).
+Where the interval does not decide, the read counts exactly: the exact
+ladder runs from level 0 up to the level read, once per spectrum, and keeps
+what it counted.  The ladder's stop rule and :func:`extend_spectrum` compare
+the packed lower bounds alone, so they count nothing exactly, and a partial
+spectrum holds at most one level past the first that holds the count.
 At P = 128 the bounds have decided every read of every trade-off search
 tried, up to n = 1e5.  ``math.comb(n, k)`` must lie in the interval of each
 ladder's last count.
@@ -115,6 +116,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -252,57 +254,61 @@ class _LadderStarts(Sequence[int]):
 
 
 def _log2_between(x: int, y: int, e: int) -> Optional[float]:
-    """``log2_int`` of every integer in [x 2^e, (y + 1) 2^e), for 0 < x <= y,
-    or None where it may differ between them.  It is the same for all of
-    them where x and y have the same bit length, at least 53, and the same
-    top 53 bits."""
+    """``log2_int`` of every integer in [x 2^e, (y + 1) 2^e), for
+    -2^52 < x <= y, or None where it may differ between them.  It is the
+    same for all of them where x and y have the same bit length, at least
+    53, and the same top 53 bits; an x of fewer bits, 0 or below, gives
+    None."""
     shift = x.bit_length() - 53
     if shift >= 0 and x >> shift == y >> shift:
         return math.log2(x >> shift) + (shift + e)
     return None
 
 
-def _bound(starts: Sequence[int], j: int) -> tuple[int, int, int]:
-    """(e, m, w) such that ``starts[j]`` lies in [m 2^e, (m + w) 2^e]: a
-    ladder's certified bound, or the exact start with e = w = 0."""
-    if isinstance(starts, _LadderStarts):
-        return starts.bound(j)
-    return 0, starts[j], 0
-
-
-def _at_most(starts: Sequence[int], j: int, count: int) -> bool:
-    """Whether ``starts[j] <= count``, for count >= -1."""
-    e, m, w = _bound(starts, j)
-    q = (count >> e) - m  # count lies in [(m + q) 2^e, (m + q + 1) 2^e)
-    return q >= w or (q >= 0 and starts[j] <= count)
-
-
 def _split(starts: Sequence[int], count: int) -> tuple[int, float]:
     """The last level i with ``starts[i] <= count``, for count >= 0, which
-    holds entry count + 1, and ``_log2_gap(starts, i, count)``."""
-    if isinstance(starts, _LadderStarts):
-        i = bisect_right(starts.lo, starts.pack(count)) - 1  # the last bound <= count
-        if not _at_most(starts, i, count):
-            i = bisect_right(range(i), count, key=starts.__getitem__) - 1
-    else:
+    holds entry count + 1, and the gap ``_compare(starts, i, count)[1]``.
+
+    A ladder's level is found by bisecting the packed bounds, which gives
+    the last i whose lower bound m 2^e is at most the count, and ``_compare``
+    reads start i once.  Where S_i = ``starts[i]`` lies above the count, the
+    level is i - 1, since S_(i-1) <= count.  A ladder stops at level n // 2,
+    and C(n, k) does not decrease up to there, so S_i, a sum of i counts
+    C(n, k) for k < i, is at most i C(n, i - 1).  With e > 0 the mantissa m
+    has P bits, so 2^e <= S_i 2^(1-P), and the interval's width 8i 2^e is at
+    most 16 i^2 C(n, i - 1) 2^-P, below C(n, i - 1) while 16 i^2 < 2^P.  (With
+    e = 0 the bound is exact, and S_i <= count.)  So from m 2^e <= count <
+    S_i follows S_(i-1) = S_i - C(n, i - 1) <= count.  For the same reason a
+    ladder that stops where the lower bound of S_i passes count - 1, as a
+    partial build and ``extend_spectrum`` do, holds at most one level past
+    the first that holds the count: where S_i holds it but its lower bound
+    does not, the lower bound of S_(i+1) lies above S_(i+1) - C(n, i) = S_i.
+    """
+    if not isinstance(starts, _LadderStarts):
         i = bisect_right(starts, count) - 1
-    return i, _log2_gap(starts, i, count)
+        return i, _compare(starts, i, count)[1]
+    i = bisect_right(starts.lo, starts.pack(count)) - 1
+    at_most, log2 = _compare(starts, i, count)
+    if at_most:
+        return i, log2
+    return i - 1, _compare(starts, i - 1, count)[1]
 
 
-def _log2_gap(starts: Sequence[int], j: int, count: int) -> float:
-    """``log2_int(abs(count - starts[j]))``, or -inf where they are equal."""
-    e, m, w = _bound(starts, j)
+def _compare(starts: Sequence[int], j: int, count: int) -> tuple[bool, float]:
+    """Whether ``starts[j] <= count``, and ``log2_int(abs(count - starts[j]))``
+    or -inf where they are equal, from the start's certified bound (an exact
+    start is a bound of width 0) where that decides both, else exactly."""
+    e, m, w = starts.bound(j) if isinstance(starts, _LadderStarts) else (0, starts[j], 0)
     q = (count >> e) - m  # count - starts[j] where the bound is exact, w = 0
     if w:
-        log2 = None
-        if q > w:  # count - starts[j] lies in [(q - w) 2^e, (q + 1) 2^e)
-            log2 = _log2_between(q - w, q, e)
-        elif q < -1:  # starts[j] - count lies in [(-q - 1) 2^e, (w - q + 1) 2^e)
-            log2 = _log2_between(-q - 1, w - q, e)
+        # count - starts[j] lies in [(q - w) 2^e, (q + 1) 2^e) where q > 0, and
+        # starts[j] - count in [(-q - 1) 2^e, (w - q + 1) 2^e) where not.
+        x, y = (q - w, q) if q > 0 else (-q - 1, w - q)
+        log2 = _log2_between(x, y, e)
         if log2 is not None:
-            return log2
+            return q > 0, log2
         q = count - starts[j]
-    return log2_int(abs(q)) if q else NEG_INF
+    return q >= 0, log2_int(abs(q)) if q else NEG_INF
 
 
 def make_schmidt(probs: Sequence[float]) -> SchmidtVector:
@@ -352,10 +358,10 @@ class LeveledSpectrum:
     A *partial* spectrum holds only the heaviest levels: their ``starts``,
     ``log2_eigenvalues`` and ``prefix_log2_mass``, with ``None`` for the
     square-root and suffix columns, so its ``total_count`` is the number of
-    entries those levels hold.  A *head* (see the module docstring) has
-    every column, and its last suffix entry is the mass of the levels it
-    leaves out rather than the ``-inf`` sentinel.  Only a spectrum with every
-    level is ``complete``.
+    entries those levels hold, at least the count it was built for.  A
+    *head* (see the module docstring) has every column, and its last suffix
+    entry is the mass of the levels it leaves out rather than the ``-inf``
+    sentinel.  Only a spectrum with every level is ``complete``.
 
     Every mass query (the prefix, square-root prefix and tail masses, and so
     the conversions) reads a count by one rule: a negative count raises
@@ -364,9 +370,11 @@ class LeveledSpectrum:
     column that was not built, raises ``CountExceedsTotal``; and a prefix of
     0 entries is -inf.  Whether a count lies past the total is read from the
     count's split, the level it falls in, which the query reads anyway; the
-    total is not compared again.  :func:`extend_spectrum` grows an
-    incomplete spectrum until it answers a count: a partial spectrum is
-    rebuilt from level 0, a head becomes the full build.
+    total is not compared again.  A count is any integer, a numpy integer
+    included, and a float raises ``TypeError``.  :func:`extend_spectrum`
+    grows an incomplete spectrum until the lower bound on its total reaches
+    a count: a partial spectrum is rebuilt from level 0, a head becomes the
+    full build.
     """
 
     base: SchmidtVector
@@ -543,7 +551,9 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
 
     Given ``count``, a rank-2 state with unequal entries gets a
     partial spectrum (see :class:`LeveledSpectrum`): its heaviest levels,
-    down to the first that brings the entries held to ``count`` or more.
+    down to the first whose certified lower bound on the entries held
+    reaches ``count``.  So it holds ``count`` entries or more, and at most
+    one level past the first that holds them (see ``_split``).
     The full spectrum is built instead when ``count`` reaches ``2**n``, when
     those levels pass the first half of the ladder (n // 2 + 1 levels, the
     half the full build runs), or when the float eigenvalues do not strictly
@@ -555,6 +565,7 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
     RankTooLargeForN
         If the estimated peak of the full build exceeds ``BUILD_BUDGET_BYTES``.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("copy count must be non-negative")
     values, sizes = _distinct_groups(sv)
@@ -566,8 +577,10 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
             f"{need / 2**30:.1f} GiB to build, over the {BUILD_BUDGET_BYTES >> 30} GiB budget"
         )
     if count is not None:
-        if count is not _HEAD and count < 1:
-            raise ValueError("count must be positive")
+        if count is not _HEAD:
+            count = operator.index(count)
+            if count < 1:
+                raise ValueError("count must be positive")
         if sizes == [1, 1]:
             partial = _leading_levels(sv, n, count)
             if partial is not None:
@@ -578,12 +591,13 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
 def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
     """``ls`` grown until it answers ``count`` entries.
 
-    Returns ``ls`` itself when it is complete or already holds them.
-    Otherwise :func:`power_spectrum` builds it again from level 0: a partial
-    spectrum for ``count``, so it may come back complete where that builds
-    in full, and a head in full.
+    Returns ``ls`` itself when it is complete or the lower bound on its
+    total shows that it holds them.  Otherwise :func:`power_spectrum` builds
+    it again from level 0: a partial spectrum for ``count``, so it may come
+    back complete where that builds in full, and a head in full.
     """
-    if ls.complete or not _at_most(ls.starts, ls.num_levels, count - 1):
+    count = operator.index(count)
+    if ls.complete or ls.starts.lo[-1] > ls.starts.pack(count - 1):
         return ls
     return power_spectrum(ls.base, ls.copies, count if ls.suffix_log2_mass is None else None)
 
@@ -618,16 +632,14 @@ def _leading_levels(sv: SchmidtVector, n: int, count: int) -> Optional[LeveledSp
     # top 53 where adding 4k to the low ``top`` bits carries nothing.
     top = bits - 53
     low = (1 << top) - 1
-    if not head:
-        below = count - 1
-        # A start bound at most below // 2 is below count with its error:
-        # the error is less than the bound.
-        half = starts.pack(below >> 1)
+    # A partial build runs on while the lower bound of the entries held is
+    # below count, so it counts no start exactly (see _split).
+    stop = None if head else starts.pack(count - 1)
     logs: list[float] = []
     peak, tail = NEG_INF, None
     ratio = sv.probs[1] / sv.probs[0]
     log2, last, append, hold = math.log2, n // 2, logs.append, lo.append
-    while head or lo[-1] <= half or _at_most(starts, k, below):
+    while head or lo[-1] <= stop:
         up = n - k + 1
         if head and k:
             r = up / k * ratio
@@ -748,6 +760,7 @@ def _log2_split(
     ``whole`` holds the matching sums over whole levels: a prefix column for
     the top entries, ``suffix_log2_mass`` for the rest.
     """
+    count = operator.index(count)
     if count < 0:
         raise ValueError("count must be non-negative")
     starts = ls.starts
@@ -761,7 +774,7 @@ def _log2_split(
             return whole.item(i)
         return whole.item(i - 1) if i else NEG_INF
     if tail:
-        rest, log2_piece = whole.item(i + 1), _log2_gap(starts, i + 1, count)
+        rest, log2_piece = whole.item(i + 1), _compare(starts, i + 1, count)[1]
     else:
         rest, log2_piece = (whole.item(i - 1) if i else NEG_INF), log2_kept
     partial = log2_piece + weight * ls.log2_eigenvalues.item(i)

@@ -83,6 +83,7 @@ record reads its recovery error once more through the public
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
@@ -282,6 +283,7 @@ def generalized_mcre(sv: SchmidtVector, n: int, N: int) -> TradeoffResult:
     equals a scan of that full range.  Ties go to the smallest m, so results
     are independent of evaluation order.
     """
+    n, N = operator.index(n), operator.index(N)
     if N < 1 or N > n:
         raise InvalidRange(f"need 1 <= N <= n, got N={N}, n={n}")
     spec_n = power_spectrum(sv, n, _HEAD)
@@ -315,6 +317,7 @@ def recoverable_points(
     budget.  The noise floor grows with n; the 1e-9 cutoff keeps a wide
     margin over it at every n checked, up to 6e4.
     """
+    n = operator.index(n)
     if n < 1:
         raise InvalidRange(f"need n >= 1, got {n}")
     for eps in eps_grid:

@@ -2,7 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import numpy as np
@@ -611,14 +611,14 @@ def test_thinned_head_starts_equal_the_full_builds(p, n):
             head.starts[index]
 
 
+_LADDERS = [(0.1, 3000, None), (0.25, 3000, None), (0.02, 2000, None), (0.2, 700, None),
+            (0.1, 2800, 1500), (0.235, 2900, 2400)]
+
+
 @pytest.mark.parametrize("bits", [60, spectrum._MANTISSA])
-@pytest.mark.parametrize(
-    "p, n, log2_count",
-    [(0.1, 3000, None), (0.25, 3000, None), (0.02, 2000, None), (0.2, 700, None),
-     (0.1, 2800, 1500), (0.235, 2900, 2400)],
-)
+@pytest.mark.parametrize("p, n, log2_count", _LADDERS)
 def test_certified_reads_equal_exact_arithmetic(p, n, log2_count, bits):
-    # The split, the gap and the comparison, read from a ladder's certified
+    # The split and the reader's side and gap, read from a ladder's certified
     # bounds, against the same arithmetic on its exact starts.  The exact
     # starts come from a second build, so that taking them counts no start
     # of the spectrum read: it counts only where its own build or reads
@@ -627,10 +627,16 @@ def test_certified_reads_equal_exact_arithmetic(p, n, log2_count, bits):
     # dimensions the trade-off reads, and at twice and half of sampled
     # starts.  At 60 bits most reads fall back to exact counting; at the
     # library's mantissa the bounds decide them.  A head where no count is
-    # given, else a partial spectrum.
+    # given, else a partial spectrum.  Just below a start the bisection of
+    # the bounds lands one level high, and the split steps back to i - 1:
+    # at 60 bits in 908, 1,938, 204, 471, 678 and 1,508 of the 4,264,
+    # 7,718, 1,232, 1,964, 3,336 and 6,318 counts of the six ladders, and
+    # about as often at the library's mantissa.  A split reads start i
+    # exactly at most once, where the bounds do not decide, and start
+    # i - 1 once more only where it steps back and they decide neither.
     sv = make_schmidt([p, 1.0 - p])
     count = _HEAD if log2_count is None else 1 << log2_count
-    with short_mantissa(bits):
+    with short_mantissa(bits) as counted:
         ls = power_spectrum(sv, n, count)
         exact = tuple(power_spectrum(sv, n, count).starts)
         assert not ls.complete
@@ -643,12 +649,47 @@ def test_certified_reads_equal_exact_arithmetic(p, n, log2_count, bits):
         def gap(j, c):
             return log2_int(abs(c - exact[j])) if c != exact[j] else NEG_INF
 
+        steps = 0
         for c in sorted(c for c in counts if c >= 0):
             i = bisect_right(exact, c) - 1
+            found = bisect_right(ls.starts.lo, ls.starts.pack(c)) - 1
+            assert found in (i, i + 1), c
+            steps += found > i
+            before = len(counted)
             assert spectrum._split(ls.starts, c) == (i, gap(i, c)), c
+            assert counted[before:] == [found, i][: len(counted) - before], c
             for j in {max(i - 1, 0), i, min(i + 1, k)}:
-                assert spectrum._at_most(ls.starts, j, c) == (exact[j] <= c), (j, c)
-                assert spectrum._log2_gap(ls.starts, j, c) == gap(j, c), (j, c)
+                assert spectrum._compare(ls.starts, j, c) == (exact[j] <= c, gap(j, c)), (j, c)
+        assert steps
+
+
+@pytest.mark.parametrize("p, n, log2_count", _LADDERS)
+def test_ladders_stop_and_grow_on_lower_bounds(p, n, log2_count, monkeypatch):
+    # At the library's mantissa a partial build stops, and extend_spectrum
+    # decides whether a spectrum holds a count, on the packed lower bounds
+    # of the starts alone, so neither counts a start exactly.  A lower bound
+    # can let the ladder build one level past the fewest that hold the
+    # count, and no more (see ``spectrum._split``).  The counts sit at every
+    # start +- 2 of the six ladders above, where the bounds decide least, and
+    # the extra level is built for 51-59% of them: those at a start or just
+    # below it, inside its bound's width.
+    sv = make_schmidt([p, 1.0 - p])
+    count = _HEAD if log2_count is None else 1 << log2_count
+    ls = power_spectrum(sv, n, count)
+    exact = tuple(power_spectrum(sv, n, count).starts)
+
+    def refuse(self, i):
+        raise AssertionError(f"start {i} counted exactly")
+
+    monkeypatch.setattr(spectrum._LadderStarts, "exact", refuse)
+    for c in sorted({s + d for s in exact for d in range(-2, 3)} - {-2, -1, 0}):
+        fewest = bisect_left(exact, c)  # S_fewest >= c, also past the last start
+        part = power_spectrum(sv, n, c)
+        assert not part.complete
+        assert fewest <= part.num_levels <= fewest + 1, c
+        assert extend_spectrum(part, c) is part
+        grown = extend_spectrum(ls, c)
+        assert grown.complete or grown.num_levels >= fewest, c
 
 
 @pytest.mark.parametrize("p", [0.05, 0.25])

@@ -11,6 +11,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,14 @@ from concrec import (
     dilution_fidelity,
     extend_spectrum,
     generalized_mcre,
+    log2_prefix_mass,
+    log2_prefix_sqrt_mass,
+    log2_tail_mass,
     make_schmidt,
     max_recoverable,
     mcre,
     power_spectrum,
+    prefix_mass,
     recoverable_points,
     tradeoff,
 )
@@ -229,6 +234,50 @@ class TestRecoverablePoints:
 def _hexed(point):
     """A trade-off point's fields, each float as ``float.hex``."""
     return point and tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(point))
+
+
+def test_numpy_integers_read_as_ints_and_floats_are_refused():
+    # Copy counts, entry counts and dimensions pass through operator.index,
+    # so a numpy integer gives the plain int's result bit for bit, and a
+    # float is refused with TypeError.
+    sv, i64 = make_schmidt([0.1, 0.9]), np.int64
+    full = power_spectrum(sv, 300)
+    part = power_spectrum(sv, 300, 1 << 60)
+
+    def same(a, b):
+        for column in ("starts", "log2_eigenvalues", "prefix_log2_mass"):
+            assert tuple(getattr(a, column)) == tuple(getattr(b, column)), column
+        assert (a.copies, a.complete) == (b.copies, b.complete)
+
+    same(power_spectrum(sv, i64(300)), full)
+    same(power_spectrum(sv, i64(300), i64(1 << 60)), part)
+    same(extend_spectrum(part, i64(1 << 62)), extend_spectrum(part, 1 << 62))
+    for read in (prefix_mass, log2_prefix_mass, log2_prefix_sqrt_mass, log2_tail_mass):
+        for c in (0, 4, 1 << 40, (1 << 62) + 5):
+            assert read(full, i64(c)).hex() == read(full, c).hex(), (read, c)
+    for L in (1, 3, 1 << 40):
+        for convert in (concentration_fidelity, dilution_fidelity):
+            assert _hexed(convert(full, i64(L))) == _hexed(convert(full, L)), (convert, L)
+    assert _hexed(mcre(sv, i64(300))) == _hexed(mcre(sv, 300))
+    assert _hexed(generalized_mcre(sv, i64(300), i64(200))) == _hexed(generalized_mcre(sv, 300, 200))
+    grid = [0.1, 0.5]
+    assert [_hexed(r) for r in recoverable_points(sv, i64(300), grid)] == [
+        _hexed(r) for r in recoverable_points(sv, 300, grid)
+    ]
+    for call in (
+        lambda: power_spectrum(sv, 300.0),
+        lambda: power_spectrum(sv, 300, 4.0),
+        lambda: extend_spectrum(part, 4.0),
+        lambda: prefix_mass(full, 4.0),
+        lambda: log2_tail_mass(full, 4.0),
+        lambda: concentration_fidelity(full, 4.0),
+        lambda: dilution_fidelity(full, 4.0),
+        lambda: mcre(sv, 300.0),
+        lambda: generalized_mcre(sv, 300, 200.0),
+        lambda: recoverable_points(sv, 300.0, grid),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("n", [400, 3000])
