@@ -71,14 +71,16 @@ def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
     suffix = ls.suffix_log2_mass
     eigs = ls.log2_eigenvalues
     # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
-    # The last boundary below L, i_max, is the split of L - 1, and lies past
-    # the levels exactly where L exceeds the total.  It is never tested:
-    # exact arithmetic guarantees the condition there, and float rounding
-    # can only miss it at an exact tie, where either cut choice yields the
-    # same fidelity.
-    i_max = _split(starts, L - 1)[0]
+    # The last boundary below L, i_max, is the split of L, or the level
+    # before it where its start is L itself, and lies past the levels exactly
+    # where L exceeds the total.  It is never tested: exact arithmetic
+    # guarantees the condition there, and float rounding can only miss it at
+    # an exact tie, where either cut choice yields the same fidelity.
+    i_max, bound = _split(starts, L)
+    if bound == NEG_INF:
+        i_max -= 1
+        bound = _compare(starts, i_max, L)[1]
     _require_reach(ls, i_max == ls.num_levels, suffix)
-    bound = _compare(starts, i_max, L)[1]
     # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
     # float subtraction are monotone; so where the bound with the latter
     # leaves the condition a bit short, it is false without reading the gap

@@ -15,22 +15,29 @@ keeps the total-mass drift around 1e-12 for spectra with thousands of
 levels.
 
 The build works on whole columns.  The exponent vectors form one int64
-array, each column one ``np.repeat`` over the rows before it.  The
-multiplicities form one list, from an exact ratio ladder per value group
-that takes one big-by-small product per level: the running count of the
-groups before is the start of the next group's ladder, folded into its
-counts rather than multiplied into each.  ``log2_int`` of each count is
-taken as the ladder makes it, and when the last two value groups have equal
-sizes the ladder runs only half its length and mirrors both the counts and
-their log2 values.  The log2 eigenvalues are one numpy product of that
-array with the log2 values, summed along each row and rounded once, as
-``math.fsum`` rounds: by one float addition for one or two terms, and for
-three or more by TwoSum, column by column, whose error terms carry the
-exact sum (see ``_log2_eigs``).  One stable ``np.argsort`` of the rows in
-reverse orders the levels by descending eigenvalue, then by ascending
-exponent vector.  Every build, full or partial, hands its sorted levels to
-one function, ``_assemble``, which accumulates the mass columns and checks
-the total mass.
+array, each column one ``np.repeat`` over the rows before it.  A level's
+multiplicity depends only on the multiset of its (group size, exponent)
+pairs, so it is counted once per *canonical* row, whose exponents do not
+increase within each class of equal-size value groups: 7,651 of the 45,451
+rows for three distinct entries at n = 300, n // 2 + 1 of the n + 1 for a
+qubit.  The counts form one list, from an exact ratio ladder per value group
+over the canonical rows that takes one big-by-small product per count: the
+running count of the groups before is the start of the next group's ladder,
+folded into its counts rather than multiplied into each.  ``log2_int`` is
+taken once per count.  Each row finds the index of its canonical row in
+numpy alone: a compare-exchange network sorts each class's columns, the
+sorted row's position in the enumeration is a sum of binomials read from a
+small table, and a running count of the canonical rows maps that position
+to the index (see ``_type_columns``).  The log2 eigenvalues are one numpy
+product of the exponent array with the log2 values, summed along each row
+and rounded once, as ``math.fsum`` rounds: by one float addition for one or
+two terms, and for three or more by TwoSum, column by column, whose error
+terms carry the exact sum (see ``_log2_eigs``).  One stable ``np.argsort``
+of the rows in reverse orders the levels by descending eigenvalue, then by
+ascending exponent vector, and one gather in that order gives each level
+its count and log2 count.  Every build, full or partial, hands its sorted
+levels to one function, ``_assemble``, which accumulates the mass columns
+and checks the total mass.
 
 A reader of only the top entries, such as dilution from an L-dimensional
 maximally entangled state, may ask for a *partial* spectrum of a rank-2
@@ -142,6 +149,9 @@ _MASS_GUARD = 1e-6
 # The head's cut and guard, in bits (see the module docstring).
 _HEAD_CUT = 160
 _HEAD_GUARD = 100
+
+# A count of at most this many bits fits Python's small-object pools (512 B).
+_POOLED_BITS = 3600
 
 # The mantissa bits of a ladder's certified counts (see the module docstring).
 _MANTISSA = 128
@@ -425,33 +435,29 @@ def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
     return values, sizes
 
 
-def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """Exponent vectors, multiplicities and log2 multiplicities of every type
-    class of n copies.
+def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponent vectors of every type class of n copies, with the index of
+    each one's canonical row and the mask of the canonical rows.
 
     Returns an int64 array with one row e per type class, rows in
-    descending lexicographic order of e, the list of the matching
-    multiplicities, and their ``log2_int`` values as a float64 array.  Each
-    column of the exponent rows is one ``np.repeat`` over the rows before
-    it: a row with s copies left gets s + 1 children, whose next entry runs
-    from s down to 0.
+    descending lexicographic order of e; an int64 array that gives each row
+    the index of its canonical row among the canonical rows, in that order,
+    which is the order of :func:`_ladder`'s counts; and a bool array that is
+    True at the canonical rows.  Each column of the exponent rows is one
+    ``np.repeat`` over the rows before it: a row with s copies left gets
+    s + 1 children, whose next entry runs from s down to 0.
 
-    Over distinct values with group sizes g the multiplicity is
-    multinomial(n; e) * prod_i g_i^(e_i): choose which tensor factors fall
-    in each value class, then which of the g_i equal entries each factor
-    uses.  It splits into C(n, e_1) * g_1^(e_1) times the multiplicity of
-    the remaining groups on n - e_1 copies, and the first factor follows e_1
-    down from n by an exact integer ratio.  That running factor is the start
-    of the remaining groups' ladder, so it is folded into every count they
-    make rather than multiplied into each.  When one group is left, its
-    power h^(n - e_1) rides along in the same ratio, folded into one step
-    ``head * (e * h) // ((n - e + 1) * g)``: a big integer times a small
-    one, then divided by a small one, exactly, since the quotient is the
-    next count.  When the last two groups have equal sizes (every qubit,
-    and every state of distinct entries), the counts of a ladder are its
-    start times g^n C(n, e), symmetric in e <-> n - e, so only half the
-    ladder is run, and only its half of the log2 counts taken; the other
-    half of both is the mirror image.
+    A row's multiplicity (see :func:`_ladder`) depends only on the multiset
+    of its (group size, exponent) pairs, so it is that of its *canonical*
+    row: the same row with the exponents of each class of equal-size groups
+    sorted non-increasing, the first of those rows.  Each class's columns
+    are sorted by a bubble-sort network of ``np.maximum`` and ``np.minimum``
+    compare-exchanges.  The rows before the sorted row are, for each column
+    j after the first, those that agree with it before column j - 1 and
+    leave fewer than its R copies to the k columns from j on: C(R + k - 1, k)
+    of them, read from a table of k-fold running sums of ones.  A row is
+    canonical where that position is its own, and a running count of the
+    canonical rows maps the position to the canonical row's index.
     """
     left, cols = np.array([n], dtype=np.int64), []
     for _ in sizes[1:]:
@@ -459,42 +465,92 @@ def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, list[int], 
         rest = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         cols = [np.repeat(c, width) for c in cols] + [np.repeat(left, width) - rest]
         left = rest
-    cols.append(left)
+    exps = np.array([*cols, left]).T
+    cols = [exps[:, j] for j in range(len(sizes))]
+    for size in set(sizes):
+        members = [j for j, s in enumerate(sizes) if s == size]
+        for last in range(len(members) - 1, 0, -1):
+            for a, b in itertools.pairwise(members[: last + 1]):
+                cols[a], cols[b] = np.maximum(cols[a], cols[b]), np.minimum(cols[a], cols[b])
+    position, tail = np.zeros((2, len(exps)), dtype=np.int64)
+    table = np.ones(n + 1, dtype=np.int64)
+    for col in reversed(cols[1:]):
+        tail += col
+        table = np.cumsum(table)  # C(m + k, k) at m, for the k columns from col on
+        position += np.concatenate(([0], table[:-1]))[tail]
+    canonical = position == np.arange(len(exps))
+    return exps, (np.cumsum(canonical) - 1)[position], canonical
+
+
+def _ladder(sizes: Sequence[int], n: int) -> tuple[list[int], list[float]]:
+    """The multiplicity of every canonical row of :func:`_type_columns`, in
+    the order of the rows, and its ``log2_int``.
+
+    Over distinct values with group sizes g the multiplicity is
+    multinomial(n; e) * prod_i g_i^(e_i): choose which tensor factors fall
+    in each value class, then which of the g_i equal entries each factor
+    uses.  It splits into C(n, e_1) * g_1^(e_1) times the multiplicity of
+    the remaining groups on n - e_1 copies, and the first factor follows e_1
+    down by an exact integer ratio.  That running factor is the start of
+    the remaining groups' ladder, so it is folded into every count they make
+    rather than multiplied into each.  For the last two groups, of sizes g
+    and h, the power h^(n - e) rides along in the same ratio, folded into
+    one step ``head * (e * h) // ((n - e + 1) * g)`` per row: a big integer
+    times a small one, then divided by a small one, exactly, since the
+    quotient is the next count.
+
+    Each exponent runs over the canonical rows only: from the exponent of
+    the group before it in its class, or all the copies left where fewer or
+    where there is none, down to the least x that leaves no more copies than
+    the groups after it can take.  Each of those is held to the exponent
+    before it in its class, so where each one's class has a group up to this
+    one, they take at most k x + c copies: x for each of the k in this
+    group's class, and c the sum, over the others, of the exponent of their
+    class's last group so far.  A ladder that starts below all the copies
+    left starts from ``math.comb``.
+    """
+
+    def last(size: int, i: int) -> Optional[int]:
+        """The last group up to i whose size is ``size``, if any."""
+        return max((q for q in range(i + 1) if sizes[q] == size), default=None)
+
+    groups = [
+        (size, last(size, i - 1), [last(sizes[j], i) for j in range(i + 1, len(sizes))])
+        for i, size in enumerate(sizes)
+    ]
     mults: list[int] = []
-    logs: list[float] = []
-    _ladder(sizes, n, 1, mults, logs)
-    return np.array(cols).T, mults, np.array(logs)
+    _ladder_rows(groups, (), n, 1, mults)
+    return mults, list(map(log2_int, mults))
 
 
-def _ladder(sizes: Sequence[int], n: int, head: int, mults: list[int], logs: list[float]) -> None:
-    """Append to ``mults`` the multiplicity of every type class of the value
-    groups ``sizes`` on n copies, times ``head``, and to ``logs`` their
-    ``log2_int`` values, in the order and by the ladder of
-    :func:`_type_columns`."""
-    g, rest = sizes[0], sizes[1:]
-    head *= g**n
-    if not rest:
+def _ladder_rows(groups: list, e: tuple[int, ...], left: int, head: int, mults: list[int]) -> None:
+    """Append to ``mults`` the count of every canonical row that begins with
+    the exponents ``e`` and leaves ``left`` copies to the groups after them,
+    times ``head``, by the ladder of :func:`_ladder`.  Each entry of
+    ``groups`` holds a group's size, the group before it in its class, and,
+    for each group after it, the last group up to it in that one's class."""
+    i = len(e)
+    g, above, below = groups[i]
+    top = left if above is None else min(left, e[above])
+    bottom = 0
+    if None not in below:  # left - x <= k x + c
+        k, c = below.count(i), sum(e[q] for q in below if q != i)
+        bottom = max(0, -((c - left) // (k + 1)))
+    head *= math.comb(left, top) * g**top
+    if i == len(groups) - 1:
         mults.append(head)
-        logs.append(log2_int(head))
-    elif len(rest) > 1:
-        for e in range(n, -1, -1):
-            _ladder(rest, n - e, head, mults, logs)
-            head = head * e // ((n - e + 1) * g)
-    else:
-        h, first = rest[0], len(mults)
+    elif i == len(groups) - 2:
+        h = groups[-1][0]
+        head *= h ** (left - top)
         mults.append(head)
-        for e in range(n, n - n // 2 if g == h else 0, -1):
-            head = head * (e * h) // ((n - e + 1) * g)
+        for x in range(top, bottom, -1):
+            head = head * (x * h) // ((left - x + 1) * g)
             mults.append(head)
-        logs.extend(map(log2_int, mults[first:]))
-        if g == h:
-            half = (n + 1) // 2
-            # Fresh ints (m + 0), not shared references.  The build frees each
-            # count as it is summed; a shared object is freed only at its
-            # second pop.  For a qubit at n = 3e4 sharing left tracemalloc's
-            # peak as it was but raised ru_maxrss from 133 to 148 MB.
-            mults.extend(m + 0 for m in reversed(mults[first : first + half]))
-            logs.extend(reversed(logs[first : first + half]))
+    else:
+        _ladder_rows(groups, (*e, top), left - top, head, mults)
+        for x in range(top, bottom, -1):
+            head = head * x // ((left - x + 1) * g)
+            _ladder_rows(groups, (*e, x - 1), left - x + 1, head, mults)
 
 
 def _build_bytes(levels: int, n: int, rank: int) -> float:
@@ -683,21 +739,35 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     # deliberately kept separate: every downstream quantity depends only on
     # the eigenvalue multiset, and the exponent vector gives a deterministic
     # secondary sort key.
-    exps, mults, log2_mults = _type_columns(sizes, n)
+    exps, index, canonical = _type_columns(sizes, n)
     eigs = _log2_eigs(exps, values)
-    del exps  # not held through the count reorder and accumulate, the peak
+    del exps  # not held through the counts and the accumulate, the peak
     # By descending eigenvalue, ties in ascending exponent order: a stable
     # sort of the rows in reverse, since they come in descending order.
     order = len(eigs) - 1 - np.argsort(-eigs[::-1], kind="stable")
-    mults = [mults[i] for i in order.tolist()]
-    # Pop each big multiplicity as it is counted, down to the None put under
-    # them, so the spectrum's big integers are never held twice.
-    mults.append(None)
-    mults.reverse()
-    starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
+    index = index[order]
+    counts, log2_counts = _ladder(sizes, n)
+    mults = np.array(counts, dtype=object)[index]
+    del counts
+    # Levels share the int of their canonical row's count, held until every
+    # level is summed.  Past Python's small-object pools each level gets its
+    # own int instead, freed as it is summed, down to the None put under
+    # them, so the spectrum's big integers are never held twice: a level
+    # whose row is not canonical takes a fresh copy (m | 0).  A shared count
+    # is freed only at the last of its levels, and the system allocator then
+    # reuses its memory poorly: for a qubit at n = 3e4 sharing left
+    # tracemalloc's peak as it was but raised ru_maxrss from 133 to 148 MB.
+    if n * math.log2(sv.rank) <= _POOLED_BITS:
+        starts = tuple(itertools.accumulate(mults.tolist(), initial=0))
+    else:
+        np.bitwise_or(mults, 0, out=mults, where=~canonical[order])
+        mults = mults[::-1].tolist()
+        mults.insert(0, None)
+        starts = tuple(itertools.accumulate(iter(mults.pop, None), initial=0))
+    del mults
     if starts[-1] != sv.rank**n:
         raise ArithmeticError("level multiplicities do not sum to rank^n")
-    return _assemble(sv, n, starts, eigs[order], log2_mults[order], NEG_INF)
+    return _assemble(sv, n, starts, eigs[order], np.array(log2_counts)[index], NEG_INF)
 
 
 def _assemble(

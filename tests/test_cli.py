@@ -97,6 +97,13 @@ class TestFig:
                 "60000",
                 "77af0eb626efb60dc701261948cf298fed18a9c3760c1281e99710c2e12397b5",
             ),
+            (
+                # The rank-3 bench state: a full build of 45,451 levels, whose
+                # counts come from 7,651 canonical rows.
+                ["--schmidt", "0.530749,0.292372,0.176879"],
+                "300",
+                "6e6cfc9fde1e0243f0627210c27f95ba847a0b68e2546aab8d46892711920b7c",
+            ),
         ],
     )
     def test_mcre_record_is_pinned(self, state, n, digest, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from concrec import (
     make_schmidt,
     power_spectrum,
 )
-from concrec.conversion import _flatten_boundary
+from concrec import conversion, spectrum
+from concrec.conversion import _concentration, _flatten_boundary
 from concrec.errors import DimensionTooLargeForOracle, InvalidDimension
-from concrec.spectrum import NEG_INF, LeveledSpectrum
+from concrec.spectrum import _HEAD, NEG_INF, LeveledSpectrum
 
 from _oracles import (
     dense_concentration_error,
@@ -117,6 +119,32 @@ class TestFlattenIndex:
                 key=lambda i: float(suffix[i]) - log2_int(L - starts[i]) >= float(eigs[i]),
             )]
             assert _flatten_cut(ls, L) == expected, L
+
+    @pytest.mark.parametrize(
+        "n, count, log2_Ls",
+        [
+            (3000, _HEAD, range(1200, 1700, 10)),  # the p = 0.1 head the search reads
+            (31, None, [30]),  # 2^30 is the start of level 16, so i_max is level 15
+        ],
+    )
+    def test_concentration_reads_each_start_once(self, n, count, log2_Ls, monkeypatch):
+        # The flatten cut takes its last boundary below L and the gap to L from
+        # one split of L, so no start is read twice but the cut's own, which
+        # the bisection may have read before the fidelity reads it.
+        ls = power_spectrum(make_schmidt([0.9, 0.1]), n, count)
+        compare, reads = spectrum._compare, []
+
+        def counted(starts, j, value):
+            reads.append(j)
+            return compare(starts, j, value)
+
+        monkeypatch.setattr(spectrum, "_compare", counted)
+        monkeypatch.setattr(conversion, "_compare", counted)
+        for log2_L in log2_Ls:
+            reads.clear()
+            j = _concentration(ls, 1 << log2_L)[1]
+            repeats = Counter(reads)
+            assert repeats[j] <= 2 and all(k == j or v == 1 for k, v in repeats.items()), log2_L
 
     def test_tie_insensitivity(self):
         # When the flattened tail average exactly equals the next weight,

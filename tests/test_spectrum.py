@@ -294,14 +294,15 @@ class TestPrefixQueries:
 
 @st.composite
 def tied_spectra(draw, max_n=40):
-    """A rank 1-4 state whose entries repeat in groups, and a copy count."""
-    rank = draw(st.integers(1, 4))
+    """A rank 1-6 state whose entries repeat in groups, and a copy count, at
+    most 12 above rank 4."""
+    rank = draw(st.integers(1, 6))
     cuts = sorted(draw(st.sets(st.integers(1, rank - 1)))) if rank > 1 else []
     sizes = [b - a for a, b in zip([0, *cuts], [*cuts, rank])]
     values = draw(st.lists(st.integers(1, 20), min_size=len(sizes), max_size=len(sizes), unique=True))
     weights = [v for v, size in zip(values, sizes) for _ in range(size)]
     sv = make_schmidt([w / sum(weights) for w in weights])
-    return sv, draw(st.integers(0, max_n))
+    return sv, draw(st.integers(0, max_n if rank <= 4 else min(max_n, 12)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -351,8 +352,44 @@ def _assert_same_build(sv, n):
 # Two groups of size 2: symmetric counts beyond qubits.
 @example((make_schmidt([0.3, 0.3, 0.2, 0.2]), 59))
 @example((make_schmidt([0.3, 0.3, 0.2, 0.2]), 60))
+# The groups of size 1 are not adjacent in value order.
+@example((make_schmidt([0.35, 0.2, 0.2, 0.15, 0.1]), 30))
+@example((make_schmidt([0.4, 0.25, 0.15, 0.12, 0.08]), 30))
+@example((make_schmidt([0.25, 0.25, 0.25, 0.25]), 60))
 def test_build_matches_per_level_reference(case):
     _assert_same_build(*case)
+
+
+@pytest.mark.parametrize(
+    "probs, n, rows",
+    [
+        ((0.5, 0.3, 0.2), 300, 7651),  # partitions of 300 into at most 3 parts
+        ((0.9, 0.1), 3000, 1501),
+        ((0.35, 0.2, 0.2, 0.15, 0.1), 12, None),
+        ((0.3, 0.3, 0.15, 0.15, 0.05, 0.05), 9, None),
+        ((0.25, 0.2, 0.2, 0.15, 0.1, 0.1), 10, None),
+    ],
+)
+def test_one_count_per_canonical_row(probs, n, rows, monkeypatch):
+    # A row's count depends only on the multiset of its (group size,
+    # exponent) pairs, so the build counts each such multiset once: one
+    # ladder count and one log2_int each.
+    sizes = spectrum._distinct_groups(make_schmidt(probs))[1]
+    exps, index, canonical = spectrum._type_columns(sizes, n)
+    forms = [tuple(sorted((sizes[j], e) for j, e in enumerate(row))) for row in exps.tolist()]
+    if rows is None:
+        rows = len(set(forms))
+    first = {}
+    for form, i in zip(forms, index.tolist()):
+        assert first.setdefault(form, i) == i  # one index per multiset
+    assert sorted(first.values()) == list(range(rows)) and canonical.sum() == rows
+    logs = []
+    monkeypatch.setattr(spectrum, "log2_int", lambda value: logs.append(value) or log2_int(value))
+    counts = spectrum._ladder(sizes, n)[0]
+    assert len(counts) == rows and logs == counts
+    logs.clear()
+    power_spectrum(make_schmidt(probs), n)
+    assert len(logs) == rows
 
 
 @pytest.mark.parametrize(
@@ -892,6 +929,14 @@ class TestBigPowers:
         ls, retained, peak = _traced_build(make_schmidt([0.9, 0.1]), 10000)
         assert ls.num_levels == 10001
         assert peak <= 1.25 * retained, (peak, retained)
+
+    def test_rank3_build_peak_near_retained_size(self):
+        # Levels share the count of their canonical row (7,651 counts for
+        # 45,451 levels here), so the build holds far fewer big integers than
+        # levels.  Counting every row put the peak at 1.60 times the size.
+        ls, retained, peak = _traced_build(make_schmidt([0.5, 0.3, 0.2]), 300)
+        assert ls.num_levels == 45451
+        assert peak <= 1.5 * retained, (peak, retained)
 
     @pytest.mark.parametrize("probs, n", [((0.9, 0.1), 10000), ((0.5, 0.3, 0.2), 300)])
     def test_build_estimate_near_peak(self, probs, n):
