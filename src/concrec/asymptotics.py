@@ -35,8 +35,8 @@ def profile(sv: SchmidtVector) -> AsymptoticProfile:
     """
     neg_logs = [-math.log2(p) for p in sv.probs]
     entropy = math.fsum(p * nl for p, nl in zip(sv.probs, neg_logs))
+    # An fsum of terms none of which is negative, so never negative.
     variance = math.fsum(p * (nl - entropy) ** 2 for p, nl in zip(sv.probs, neg_logs))
-    variance = max(variance, 0.0)
     sqrt_v = math.sqrt(variance)
     loss_scale = 2.0 * sqrt_v / entropy if entropy > 0.0 else math.nan
     return AsymptoticProfile(

@@ -172,7 +172,8 @@ def run_figure(
         return ("b", "conc_limit", "dil_limit"), rows, metadata
     if figure_id == "fig4":
         prof = profile(sv)
-        if prof.variance_V <= 0.0 or prof.entropy_S <= 0.0:
+        # V > 0 needs two distinct entries, so each is below 1 and S > 0.
+        if prof.variance_V <= 0.0:
             raise InvalidSpec("fig4 needs a state with V > 0 and S > 0")
         metadata.append(("n", str(n)))
         metadata.append(("units", "epsilon:1,N_exact:copies,N_approx:copies"))

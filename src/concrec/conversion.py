@@ -6,14 +6,15 @@ spread the remaining mass uniformly over the other L - J slots, where J is
 the smallest cut at which the flattened tail no longer exceeds the next
 kept weight.  Dilution (maximally entangled source to state) is the
 top-L-prefix fidelity.  Everything runs on leveled spectra in log2 space,
-so dimensions like 2^3000 are exact.
+so dimensions like 2^3000 are exact.  The cut and the log2 of L minus its
+start come from the spectrum's flatten query, and the dilution mass from
+its prefix-mass query: this module reads no level start itself.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -24,9 +25,7 @@ from .spectrum import (
     NEG_INF,
     LeveledSpectrum,
     SchmidtVector,
-    _compare,
-    _split,
-    _require_reach,
+    _flatten_split,
     log2_int,
     prefix_mass,
 )
@@ -55,57 +54,18 @@ def _clamp_unit(x: float) -> float:
     return x
 
 
-def _flatten_boundary(ls: LeveledSpectrum, L: int) -> int:
-    """Level j of the optimal flatten cut, which keeps J = ``ls.starts[j]``
-    entries.
-
-    J is the smallest j in [0, L-1] whose tail average (sum of entries after
-    j, divided by L - j) is at least the next entry.  The condition, once
-    true at a level boundary, stays true at later boundaries, and it cannot
-    first become true strictly inside a level, so a binary search over the
-    boundaries below L is exact.
-    """
-    if L < 1:
-        raise InvalidDimension(f"target dimension must be >= 1, got {L}")
-    starts = ls.starts
-    suffix = ls.suffix_log2_mass
-    eigs = ls.log2_eigenvalues
-    # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
-    # The last boundary below L, i_max, is the split of L, or the level
-    # before it where its start is L itself, and lies past the levels exactly
-    # where L exceeds the total.  It is never tested: exact arithmetic
-    # guarantees the condition there, and float rounding can only miss it at
-    # an exact tie, where either cut choice yields the same fidelity.
-    i_max, bound = _split(starts, L)
-    if bound == NEG_INF:
-        i_max -= 1
-        bound = _compare(starts, i_max, L)[1]
-    _require_reach(ls, i_max == ls.num_levels, suffix)
-    # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
-    # float subtraction are monotone; so where the bound with the latter
-    # leaves the condition a bit short, it is false without reading the gap
-    # at starts[i].
-
-    def condition(i: int) -> bool:
-        # i < i_max <= num_levels, and suffix[i] is a log-add of finite level
-        # masses.  Python floats: bisect compares the result with True, slowly
-        # for numpy.bool_.
-        tail, eig = float(suffix[i]), float(eigs[i])
-        return tail - bound >= eig - 1.0 and tail - _compare(starts, i, L)[1] >= eig
-
-    return bisect_left(range(i_max), True, key=condition)
-
-
 def _concentration(ls: LeveledSpectrum, L: int) -> tuple[ConversionResult, int]:
     """:func:`concentration_fidelity` with ``flatten_index_J`` None, and the
     level j of its cut, so J = ``ls.starts[j]``.  It reads no exact start of
     a ladder spectrum where the bounds decide (see ``concrec.spectrum``)."""
     L = operator.index(L)
-    j = _flatten_boundary(ls, L)
+    if L < 1:
+        raise InvalidDimension(f"target dimension must be >= 1, got {L}")
+    j, log2_gap = _flatten_split(ls, L)
     log2_L = log2_int(L)
     kept = float(ls.prefix_log2_sqrt_mass[j - 1]) if j else NEG_INF
     first = 2.0 ** (kept - 0.5 * log2_L)
-    rest = _compare(ls.starts, j, L)[1] - log2_L + float(ls.suffix_log2_mass[j])
+    rest = log2_gap - log2_L + float(ls.suffix_log2_mass[j])
     second = 2.0 ** (0.5 * rest)
     fidelity = _clamp_unit(first + second)
     return ConversionResult(fidelity, 1.0 - fidelity * fidelity, None), j
@@ -159,11 +119,11 @@ def dense_power_spectrum(probs: Sequence[float], n: int) -> np.ndarray:
 def dense_flatten_index(probs: np.ndarray, L: int) -> int:
     """Flatten index J of a dense sorted spectrum, by a per-index scan.
 
-    The reference for the flatten cut of :func:`_flatten_boundary`: the smallest j whose tail
-    average covers the entry at j.  A relative slack of 1e-12 keeps exact
-    mathematical ties from flipping on the float rounding of the tail
-    subtraction; the last candidate is forced because the condition holds
-    at j = L - 1 in exact arithmetic.
+    The reference for the flatten cut of ``concrec.spectrum._flatten_split``:
+    the smallest j whose tail average covers the entry at j.  A relative
+    slack of 1e-12 keeps exact mathematical ties from flipping on the float
+    rounding of the tail subtraction; the last candidate is forced because
+    the condition holds at j = L - 1 in exact arithmetic.
     """
     full = np.zeros(max(L + 1, probs.size))
     full[: probs.size] = probs

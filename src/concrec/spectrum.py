@@ -71,7 +71,11 @@ level lies above -1 (see ``_assemble``).
 What a spectrum answers is decided in one place, ``_log2_split`` (the rule
 is in :class:`LeveledSpectrum`), and what is built past it in another,
 :func:`extend_spectrum`: a partial spectrum is rebuilt from level 0 down to
-the count read, and a head becomes the full build.
+the count read, and a head becomes the full build.  The conversions read
+the spectrum through these queries and one more, ``_flatten_split``, the
+optimal flatten cut for a target dimension with the log2 gap from the
+dimension to the cut's start.  No other module reads a level start, so how
+a start is held, as an exact integer or a certified bound, is decided here.
 
 *Certified counts.*  Partial spectra and heads run their ladder on a P-bit
 mantissa and an exponent, P = ``_MANTISSA``.  Each step multiplies the
@@ -554,8 +558,12 @@ def _ladder_rows(groups: list, e: tuple[int, ...], left: int, head: int, mults: 
 
 
 def _build_bytes(levels: int, n: int, rank: int) -> float:
-    """Estimated build peak: about 180 B per level plus its n*log2(rank)-bit count."""
-    return levels * (180 + n * math.log2(rank) / 8)
+    """Estimated build peak: per level, about 145 B plus its n*log2(rank)-bit
+    start, or 88 B plus 16 B per entry where that is more (rank 5 and up,
+    whose peak lies in the exponent columns of ``_type_columns``).  Levels
+    share their canonical row's count, or free it as it is summed (see
+    ``_full_spectrum``), so a count is not charged per level."""
+    return levels * max(145 + n * math.log2(rank) / 8, 88 + 16 * rank)
 
 
 def _two_sum(a, b):
@@ -849,6 +857,49 @@ def _log2_split(
         rest, log2_piece = (whole.item(i - 1) if i else NEG_INF), log2_kept
     partial = log2_piece + weight * ls.log2_eigenvalues.item(i)
     return float(np.logaddexp2(rest, partial))
+
+
+def _flatten_split(ls: LeveledSpectrum, L: int) -> tuple[int, float]:
+    """Level j of the optimal flatten cut to a target of dimension L >= 1,
+    which keeps J = ``starts[j]`` entries, and ``log2_int(L - J)``.
+
+    J is the smallest j in [0, L-1] whose tail average (sum of entries after
+    j, divided by L - j) is at least the next entry.  The condition, once
+    true at a level boundary, stays true at later boundaries, and it cannot
+    first become true strictly inside a level, so a binary search over the
+    boundaries below L is exact.  The cut is the last boundary below L, whose
+    gap the split of L gives, or a boundary the search tested true, whose
+    gap it read there: each start is read once.
+    """
+    starts, suffix, eigs = ls.starts, ls.suffix_log2_mass, ls.log2_eigenvalues
+    # Boundary i keeps the first i whole levels, i.e. starts[i] entries.
+    # The last boundary below L, i_max, is the split of L, or the level
+    # before it where its start is L itself, and lies past the levels exactly
+    # where L exceeds the total.  It is never tested: exact arithmetic
+    # guarantees the condition there, and float rounding can only miss it at
+    # an exact tie, where either cut choice yields the same fidelity.
+    i_max, bound = _split(starts, L)
+    if bound == NEG_INF:
+        i_max -= 1
+        bound = _compare(starts, i_max, L)[1]
+    _require_reach(ls, i_max == ls.num_levels, suffix)
+    # Below i_max, L - starts[i] >= L - starts[i_max], and log2_int and the
+    # float subtraction are monotone; so where the bound with the latter
+    # leaves the condition a bit short, it is false without reading the gap
+    # at starts[i].  The gaps read are kept for the cut's own.
+    gaps = {i_max: bound}
+
+    def condition(i: int) -> bool:
+        # i < i_max <= num_levels, and suffix[i] is a log-add of finite level
+        # masses.  Python floats: bisect compares the result with True, slowly
+        # for numpy.bool_.
+        tail, eig = float(suffix[i]), float(eigs[i])
+        return tail - bound >= eig - 1.0 and (
+            tail - gaps.setdefault(i, _compare(starts, i, L)[1]) >= eig
+        )
+
+    j = bisect_left(range(i_max), True, key=condition)
+    return j, gaps[j]
 
 
 def log2_prefix_mass(ls: LeveledSpectrum, count: int) -> float:

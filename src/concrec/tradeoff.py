@@ -336,7 +336,7 @@ def recoverable_points(
     found: dict[float, Union[TradeoffResult, None]] = {}
     N = offset = 0
     for eps in sorted(set(eps_grid)):
-        warm = _NOISE_BUDGET < eps < 1.0 and prof.entropy_S > 0.0 and prof.variance_V > 0.0
+        warm = _NOISE_BUDGET < eps < 1.0 and prof.variance_V > 0.0
         if warm:
             # The second-order guess pays: on the fig4 grid at p = 0.077,
             # n = 3000, a gallop without it built 175 spectra, more than the

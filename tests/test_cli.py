@@ -319,7 +319,7 @@ class TestQuery:
         assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
     def test_oversized_spectrum_exits_2(self, capsys):
-        # 4.5M levels, estimated at 3.5 GB to build: refused before enumerating.
+        # 4.5M levels, estimated at 3.3 GB to build: refused before enumerating.
         args = ["query", "--kind", "mcre", "--schmidt", "0.5,0.3,0.2", "--n", "3000"]
         assert run(args) == 2
         assert "GiB" in capsys.readouterr().err
