@@ -7,10 +7,11 @@ entropy is in bits per copy and the log-spectrum variance in bits squared.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import DegenerateVariance, InvalidEpsilon, OutOfDomain
+from .errors import DegenerateVariance, InvalidEpsilon, InvalidRange, OutOfDomain
 from .spectrum import SchmidtVector
 
 _SQRT2 = math.sqrt(2.0)
@@ -107,7 +108,10 @@ def mcre_limit(sv: SchmidtVector, b_prime: float) -> float:
 
 def nmax_approx(sv: SchmidtVector, n: int, eps: float) -> float:
     """Second-order approximation of the maximum recoverable copy count:
-    n - (2*sqrt(V)/S) * quantile(1 - eps/2) * sqrt(n), not floored."""
+    n - (2*sqrt(V)/S) * quantile(1 - eps/2) * sqrt(n), not floored, for a
+    copy count n >= 0."""
+    if operator.index(n) < 0:
+        raise InvalidRange(f"need n >= 0, got {n}")
     # No S check: entries lie in (0, 1], so no term of S is negative, and
     # V > 0 needs an entry below 1, whose term is positive.
     prof = _positive_variance(sv)

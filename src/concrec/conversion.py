@@ -87,7 +87,7 @@ def _dilution_mass(ls_target: LeveledSpectrum, L: int) -> float:
     complement 1 - mass is the dilution error, without building a result.
     The fidelity, its square root, cannot be recovered bit for bit from the
     error where the mass is below 1/2, so the mass is what is shared."""
-    if L < 1:
+    if operator.index(L) < 1:
         raise InvalidDimension(f"source dimension must be >= 1, got {L}")
     return prefix_mass(ls_target, L)
 
@@ -149,7 +149,7 @@ def brute_force_fidelity(p: Union[SchmidtVector, Sequence[float]], L: int) -> fl
     is returned so the disagreement is visible to callers.
     """
     raw = p.probs if isinstance(p, SchmidtVector) else tuple(float(x) for x in p)
-    if L < 1:
+    if operator.index(L) < 1:
         raise InvalidDimension(f"target dimension must be >= 1, got {L}")
     if L > 8 or len(raw) > 8:
         raise DimensionTooLargeForOracle("oracle handles dimension and rank up to 8")

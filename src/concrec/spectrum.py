@@ -14,30 +14,32 @@ space and are accumulated with running log-add in double precision, which
 keeps the total-mass drift around 1e-12 for spectra with thousands of
 levels.
 
-The build works on whole columns.  The exponent vectors form one int64
-array, each column one ``np.repeat`` over the rows before it.  A level's
-multiplicity depends only on the multiset of its (group size, exponent)
-pairs, so it is counted once per *canonical* row, whose exponents do not
-increase within each class of equal-size value groups: 7,651 of the 45,451
-rows for three distinct entries at n = 300, n // 2 + 1 of the n + 1 for a
-qubit.  The counts form one list, from an exact ratio ladder per value group
-over the canonical rows that takes one big-by-small product per count: the
-running count of the groups before is the start of the next group's ladder,
-folded into its counts rather than multiplied into each.  ``log2_int`` is
-taken once per count.  Each row finds the index of its canonical row in
-numpy alone: a compare-exchange network sorts each class's columns, the
-sorted row's position in the enumeration is a sum of binomials read from a
-small table, and a running count of the canonical rows maps that position
-to the index (see ``_type_columns``).  The log2 eigenvalues are one numpy
-product of the exponent array with the log2 values, summed along each row
-and rounded once, as ``math.fsum`` rounds: by one float addition for one or
-two terms, and for three or more by TwoSum, column by column, whose error
-terms carry the exact sum (see ``_log2_eigs``).  One stable ``np.argsort``
-of the rows in reverse orders the levels by descending eigenvalue, then by
-ascending exponent vector, and one gather in that order gives each level
-its count and log2 count.  Every build, full or partial, hands its sorted
-levels to one function, ``_assemble``, which accumulates the mass columns
-and checks the total mass.
+The build works on whole columns.  The exponent vectors of the type
+classes are held as one int64 column per value group, from enumeration to
+eigenvalues, each column one ``np.repeat`` over the rows before it (see
+``_type_columns``).  A level's multiplicity depends only on the multiset of
+its (group size, exponent) pairs, so it is counted once per *canonical*
+row, whose exponents do not increase within each class of equal-size value
+groups: 7,651 of the 45,451 rows for three distinct entries at n = 300,
+n // 2 + 1 of the n + 1 for a qubit.  The counts form one list, from an
+exact ratio ladder per value group over the canonical rows that takes one
+big-by-small product per count: the running count of the groups before is
+the start of the next group's ladder, folded into its counts rather than
+multiplied into each.  ``log2_int`` is taken once per count.  The log2
+eigenvalues are read from the columns first, each product e * log2(value)
+formed as it is added, and each row's sum rounded once, as ``math.fsum``
+rounds: by one float addition for one or two terms, and for three or more
+by TwoSum, column by column, whose error terms carry the exact sum (see
+``_log2_eigs``).  Then each row finds the index of its canonical row in
+numpy alone: a compare-exchange network sorts each class's columns in
+place, the sorted row's position in the enumeration is a sum of binomials
+read from a small table, and a running count of the canonical rows maps
+that position to the index (see ``_type_classes``).  One stable
+``np.argsort`` of the rows in reverse orders the levels by descending
+eigenvalue, then by ascending exponent vector, and one gather in that order
+gives each level its count and log2 count.  Every build, full or partial,
+hands its sorted levels to one function, ``_assemble``, which accumulates
+the mass columns and checks the total mass.
 
 A reader of only the top entries, such as dilution from an L-dimensional
 maximally entangled state, may ask for a *partial* spectrum of a rank-2
@@ -119,8 +121,9 @@ eigenvalues to strictly decrease along it, over every level, not only those
 it builds.  They do where the step log2(a / b) exceeds twice the rounding
 error of any eigenvalue: each is two products and a sum, each rounded, of
 terms at most n |log2 b| in size, so its error is below 2^-51 n |log2 b|,
-and the ladder checks log2(a / b) > 2^-49 n |log2 b|.  Only where that
-fails does it compute every eigenvalue and check them.
+and the ladder checks log2(a / b) > 2^-49 n |log2 b|.  Where that fails,
+for p within about 3e-16 n of 1/2 (3e-11 at n = 1e5), the full build runs,
+which computes and sorts every eigenvalue anyway.
 """
 
 from __future__ import annotations
@@ -428,40 +431,18 @@ def _require_reach(ls: LeveledSpectrum, past: bool, column: Optional[np.ndarray]
 
 def _distinct_groups(sv: SchmidtVector) -> tuple[list[float], list[int]]:
     """Distinct probability values (by exact float equality) and group sizes."""
-    values: list[float] = []
-    sizes: list[int] = []
-    for p in sv.probs:
-        if values and p == values[-1]:
-            sizes[-1] += 1
-        else:
-            values.append(p)
-            sizes.append(1)
-    return values, sizes
+    groups = [(p, len(list(run))) for p, run in itertools.groupby(sv.probs)]
+    return [p for p, _ in groups], [size for _, size in groups]
 
 
-def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponent vectors of every type class of n copies, with the index of
-    each one's canonical row and the mask of the canonical rows.
+def _type_columns(sizes: Sequence[int], n: int) -> list[np.ndarray]:
+    """Exponent vectors of every type class of n copies, as one int64
+    column per value group.
 
-    Returns an int64 array with one row e per type class, rows in
-    descending lexicographic order of e; an int64 array that gives each row
-    the index of its canonical row among the canonical rows, in that order,
-    which is the order of :func:`_ladder`'s counts; and a bool array that is
-    True at the canonical rows.  Each column of the exponent rows is one
-    ``np.repeat`` over the rows before it: a row with s copies left gets
-    s + 1 children, whose next entry runs from s down to 0.
-
-    A row's multiplicity (see :func:`_ladder`) depends only on the multiset
-    of its (group size, exponent) pairs, so it is that of its *canonical*
-    row: the same row with the exponents of each class of equal-size groups
-    sorted non-increasing, the first of those rows.  Each class's columns
-    are sorted by a bubble-sort network of ``np.maximum`` and ``np.minimum``
-    compare-exchanges.  The rows before the sorted row are, for each column
-    j after the first, those that agree with it before column j - 1 and
-    leave fewer than its R copies to the k columns from j on: C(R + k - 1, k)
-    of them, read from a table of k-fold running sums of ones.  A row is
-    canonical where that position is its own, and a running count of the
-    canonical rows maps the position to the canonical row's index.
+    Each row e of the columns is one type class, rows in descending
+    lexicographic order of e.  Each column is one ``np.repeat`` over the
+    rows before it: a row with s copies left gets s + 1 children, whose
+    next entry runs from s down to 0.
     """
     left, cols = np.array([n], dtype=np.int64), []
     for _ in sizes[1:]:
@@ -469,25 +450,49 @@ def _type_columns(sizes: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray,
         rest = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
         cols = [np.repeat(c, width) for c in cols] + [np.repeat(left, width) - rest]
         left = rest
-    exps = np.array([*cols, left]).T
-    cols = [exps[:, j] for j in range(len(sizes))]
+    return [*cols, left]
+
+
+def _type_classes(cols: list, values: Sequence[float], sizes: Sequence[int], n: int) -> tuple:
+    """The log2 eigenvalue of each row of the columns of
+    :func:`_type_columns`, the index of its canonical row among the
+    canonical rows, in the order of the rows, which is the order of
+    :func:`_ladder`'s counts, and the mask of the canonical rows.
+
+    The eigenvalues are read first (see :func:`_log2_eigs`).  Then ``cols``
+    is sorted in place, each compare-exchange replacing the two columns it
+    reads, so no second set of columns is held.  A row's multiplicity (see
+    :func:`_ladder`) depends only on the multiset of its (group size,
+    exponent) pairs, so it is that of its *canonical* row: the same row
+    with the exponents of each class of equal-size groups sorted
+    non-increasing, the first of those rows.  Each class's columns are
+    sorted by a bubble-sort network of ``np.maximum`` and ``np.minimum``
+    compare-exchanges.  The rows before the sorted row are, for each column
+    j after the first, those that agree with it before column j - 1 and
+    leave fewer than its R copies to the k columns from j on:
+    C(R + k - 1, k) of them, read from a table of k-fold running sums of
+    ones.  A row is canonical where that position is its own, and a running
+    count of the canonical rows maps the position to the canonical row's
+    index.
+    """
+    eigs = _log2_eigs(cols, values)
     for size in set(sizes):
         members = [j for j, s in enumerate(sizes) if s == size]
         for last in range(len(members) - 1, 0, -1):
             for a, b in itertools.pairwise(members[: last + 1]):
                 cols[a], cols[b] = np.maximum(cols[a], cols[b]), np.minimum(cols[a], cols[b])
-    position, tail = np.zeros((2, len(exps)), dtype=np.int64)
+    position, tail = np.zeros((2, len(eigs)), dtype=np.int64)
     table = np.ones(n + 1, dtype=np.int64)
     for col in reversed(cols[1:]):
         tail += col
         table = np.cumsum(table)  # C(m + k, k) at m, for the k columns from col on
         position += np.concatenate(([0], table[:-1]))[tail]
-    canonical = position == np.arange(len(exps))
-    return exps, (np.cumsum(canonical) - 1)[position], canonical
+    canonical = position == np.arange(len(eigs))
+    return eigs, (np.cumsum(canonical) - 1)[position], canonical
 
 
 def _ladder(sizes: Sequence[int], n: int) -> tuple[list[int], list[float]]:
-    """The multiplicity of every canonical row of :func:`_type_columns`, in
+    """The multiplicity of every canonical row of :func:`_type_classes`, in
     the order of the rows, and its ``log2_int``.
 
     Over distinct values with group sizes g the multiplicity is
@@ -559,11 +564,11 @@ def _ladder_rows(groups: list, e: tuple[int, ...], left: int, head: int, mults: 
 
 def _build_bytes(levels: int, n: int, rank: int) -> float:
     """Estimated build peak: per level, about 145 B plus its n*log2(rank)-bit
-    start, or 88 B plus 16 B per entry where that is more (rank 5 and up,
-    whose peak lies in the exponent columns of ``_type_columns``).  Levels
-    share their canonical row's count, or free it as it is summed (see
-    ``_full_spectrum``), so a count is not charged per level."""
-    return levels * max(145 + n * math.log2(rank) / 8, 88 + 16 * rank)
+    start, or 80 B plus 8 B per entry where that is more (from about rank
+    9 up, whose peak lies in the exponent columns while ``_log2_eigs`` sums
+    them).  Levels share their canonical row's count, or free it as it is
+    summed (see ``_full_spectrum``), so a count is not charged per level."""
+    return levels * max(145 + n * math.log2(rank) / 8, 80 + 8 * rank)
 
 
 def _two_sum(a, b):
@@ -573,15 +578,16 @@ def _two_sum(a, b):
     return s, (a - (s - z)) + (b - z)
 
 
-def _log2_eigs(exps: np.ndarray, values: Sequence[float]) -> np.ndarray:
-    """log2 eigenvalue of each row of exponents against the distinct values.
+def _log2_eigs(cols: Sequence[np.ndarray], values: Sequence[float]) -> np.ndarray:
+    """log2 eigenvalue of each row of the exponent columns ``cols``, one
+    column per distinct value.
 
     Each is the correctly rounded sum of its products e * log2(value), which
     numpy forms exactly as Python floats do, and which ``math.fsum`` returns.
-    For one or two distinct values a single float addition is that rounded
-    sum, taken column by column (numpy's row sum over two columns is several
-    times slower); + 0.0 makes a -0.0 sum (all products -0.0 at n = 0) the
-    +0.0 that fsum gives.
+    Each product column is formed as it is added.  For one or two distinct
+    values a single float addition is that rounded sum, taken column by
+    column (numpy's row sum over two columns is several times slower); + 0.0
+    makes a -0.0 sum (all products -0.0 at n = 0) the +0.0 that fsum gives.
 
     Three or more terms could round twice, so the columns are summed with
     TwoSum: the running sum t, and the rounding error of each addition,
@@ -591,22 +597,23 @@ def _log2_eigs(exps: np.ndarray, values: Sequence[float]) -> np.ndarray:
     t + err = S, and the one float addition t + err rounds S once: it is
     the correctly rounded sum that fsum gives, ties included.  A row of
     -0.0 products sums to +0.0 there too, since the error of -0.0 + -0.0
-    is +0.0.  Any other row is summed by fsum.  No product is positive, so
-    each error term lies below half a unit in the last place of t, and is a
+    is +0.0.  Any other row's products are formed again from the columns,
+    the same floats, and summed by fsum.  No product is positive, so each
+    error term lies below half a unit in the last place of t, and is a
     multiple of the finest such unit among the products: the error sum
     rounds only where the products lie more than about 2^50 apart.
     """
-    prods = [exps[:, j] * math.log2(v) for j, v in enumerate(values)]
+    logs = [math.log2(v) for v in values]
     if len(values) <= 2:
-        return sum(prods) + 0.0
-    t, err, exact = prods[0], 0.0, True
-    for p in prods[1:]:
-        t, e = _two_sum(t, p)
+        return sum(col * x for col, x in zip(cols, logs)) + 0.0
+    t, err, exact = cols[0] * logs[0], 0.0, True
+    for col, x in zip(cols[1:], logs[1:]):
+        t, e = _two_sum(t, col * x)
         err, lost = _two_sum(err, e)
         exact &= lost == 0.0
     eigs = t + err
     rows = np.flatnonzero(~exact)
-    eigs[rows] = [math.fsum(row) for row in np.column_stack([p[rows] for p in prods]).tolist()]
+    eigs[rows] = list(map(math.fsum, zip(*[(c[rows] * x).tolist() for c, x in zip(cols, logs)])))
     return eigs
 
 
@@ -620,8 +627,9 @@ def power_spectrum(sv: SchmidtVector, n: int, count: Optional[int] = None) -> Le
     one level past the first that holds them (see ``_split``).
     The full spectrum is built instead when ``count`` reaches ``2**n``, when
     those levels pass the first half of the ladder (n // 2 + 1 levels, the
-    half the full build runs), or when the float eigenvalues do not strictly
-    decrease down the ladder (p within rounding of 1/2).  The private count
+    half the full build runs), or where the bound that keeps the float
+    eigenvalues strictly decreasing down the ladder fails (p within about
+    3e-16 n of 1/2, see the module docstring).  The private count
     ``_HEAD`` asks for the head (see the module docstring) in the same cases.
 
     Raises
@@ -679,16 +687,11 @@ def _leading_levels(sv: SchmidtVector, n: int, count: int) -> Optional[LeveledSp
     last count.
     """
     head = count is _HEAD
-    if not head and count >= 1 << n:
-        return None
     la, lb = (math.log2(p) for p in sv.probs)
-    if not la - lb > 2.0**-49 * n * -lb:
-        # The bound does not show that the float eigenvalues strictly
-        # decrease along the ladder, so check every one of them.
-        e = np.arange(n, -1, -1, dtype=np.int64)
-        eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
-        if not np.all(eigs[1:] < eigs[:-1]):
-            return None
+    # Where the bound fails, rounding may reorder the float eigenvalues
+    # along the ladder; the full build sorts them instead.
+    if not la - lb > 2.0**-49 * n * -lb or not head and count >= 1 << n:
+        return None
     starts = _LadderStarts(n, _MANTISSA, [0], ([0], 1))
     ce, cm, sm = 0, 1, 0  # level 0: its count 1, and start 0
     bits, lo, k = starts.bits, starts.lo, 0
@@ -736,7 +739,7 @@ def _leading_levels(sv: SchmidtVector, n: int, count: int) -> Optional[LeveledSp
     if not cm << ce <= math.comb(n, k - 1) <= cm + (4 * (k - 1) if ce else 0) << ce:
         raise ArithmeticError("ladder count differs from the binomial count")
     e = np.arange(n, n - k, -1, dtype=np.int64)
-    eigs = _log2_eigs(np.column_stack((e, n - e)), sv.probs)
+    eigs = _log2_eigs([e, n - e], sv.probs)
     return _assemble(sv, n, starts, eigs, np.array(logs, dtype=np.float64), tail)
 
 
@@ -747,9 +750,7 @@ def _full_spectrum(sv: SchmidtVector, n: int) -> LeveledSpectrum:
     # deliberately kept separate: every downstream quantity depends only on
     # the eigenvalue multiset, and the exponent vector gives a deterministic
     # secondary sort key.
-    exps, index, canonical = _type_columns(sizes, n)
-    eigs = _log2_eigs(exps, values)
-    del exps  # not held through the counts and the accumulate, the peak
+    eigs, index, canonical = _type_classes(_type_columns(sizes, n), values, sizes, n)
     # By descending eigenvalue, ties in ascending exponent order: a stable
     # sort of the rows in reverse, since they come in descending order.
     order = len(eigs) - 1 - np.argsort(-eigs[::-1], kind="stable")

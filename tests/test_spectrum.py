@@ -374,9 +374,11 @@ def test_one_count_per_canonical_row(probs, n, rows, monkeypatch):
     # A row's count depends only on the multiset of its (group size,
     # exponent) pairs, so the build counts each such multiset once: one
     # ladder count and one log2_int each.
-    sizes = spectrum._distinct_groups(make_schmidt(probs))[1]
-    exps, index, canonical = spectrum._type_columns(sizes, n)
-    forms = [tuple(sorted((sizes[j], e) for j, e in enumerate(row))) for row in exps.tolist()]
+    values, sizes = spectrum._distinct_groups(make_schmidt(probs))
+    cols = spectrum._type_columns(sizes, n)
+    exps = zip(*[col.tolist() for col in cols])
+    forms = [tuple(sorted((sizes[j], e) for j, e in enumerate(row))) for row in exps]
+    _, index, canonical = spectrum._type_classes(cols, values, sizes, n)
     if rows is None:
         rows = len(set(forms))
     first = {}
@@ -452,7 +454,7 @@ def test_eigenvalue_sums_equal_fsum():
         values, rows = case
         exps = np.array(rows, dtype=np.int64)
         with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
-            got = spectrum._log2_eigs(exps, values)
+            got = spectrum._log2_eigs(list(exps.T), values)
         ways["fsum"] += fsum.call_count
         ways["columns"] += len(rows) - fsum.call_count
         expected = [math.fsum(e * math.log2(v) for e, v in zip(row, values)) for row in rows]
@@ -805,14 +807,13 @@ def test_a_large_head_equals_the_exact_ladder():
 def test_ladders_compute_only_the_eigenvalues_they_build(monkeypatch):
     # Where log2(a / b) > 2^-49 n |log2 b|, rounding cannot reorder the
     # float eigenvalues along the ladder.  Within rounding of p = 1/2 that
-    # fails, every eigenvalue is checked, and they do not strictly decrease,
-    # so the ladder builds in full.
+    # fails, and the full build computes and sorts every eigenvalue instead.
     rows = []
     real = spectrum._log2_eigs
 
-    def recording(exps, values):
-        rows.append(len(exps))
-        return real(exps, values)
+    def recording(cols, values):
+        rows.append(len(cols[0]))
+        return real(cols, values)
 
     monkeypatch.setattr(spectrum, "_log2_eigs", recording)
     ls = power_spectrum(make_schmidt([0.1, 0.9]), 3000, 1 << 1000)
@@ -829,7 +830,7 @@ def test_ladders_compute_only_the_eigenvalues_they_build(monkeypatch):
         for n in (10, 1000, 60000):
             if a - b > 2.0**-49 * n * -b:
                 e = np.arange(n, -1, -1)
-                eigs = real(np.column_stack((e, n - e)), probs)
+                eigs = real([e, n - e], probs)
                 assert np.all(eigs[1:] < eigs[:-1]), (p, n)
                 checked += 1
     assert checked == 14
@@ -938,6 +939,15 @@ class TestBigPowers:
         assert ls.num_levels == 45451
         assert peak <= 1.5 * retained, (peak, retained)
 
+    def test_high_rank_build_peak_near_retained_size(self):
+        # From rank 5 up the exponent columns, 8 B per entry per level, hold
+        # the peak.  Holding them as rows of one array beside the sorted
+        # columns put it at 2.67 times the size here.
+        sv = make_schmidt([0.3, 0.2, 0.15, 0.1, 0.08, 0.07, 0.06, 0.04])
+        ls, retained, peak = _traced_build(sv, 12)
+        assert ls.num_levels == 50388
+        assert peak <= 2 * retained, (peak, retained)
+
     @pytest.mark.parametrize(
         "probs, n",
         [
@@ -946,6 +956,8 @@ class TestBigPowers:
             ((0.9, 0.1), 30000),
             ((0.4, 0.3, 0.2, 0.1), 100),
             ((0.3, 0.2, 0.15, 0.1, 0.08, 0.07, 0.06, 0.04), 12),
+            ((0.3, 0.25, 0.18, 0.12, 0.1, 0.05), 20),
+            ((0.2, 0.15, 0.12, 0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.01), 8),
         ],
     )
     def test_build_estimate_near_peak(self, probs, n):
@@ -953,7 +965,7 @@ class TestBigPowers:
         # below the peak, nor far above it.  Charging each level a full
         # count put it 1.31 and 1.41 times above the peak at rank 3 and 4,
         # where levels share their canonical row's count, and 0.91 times the
-        # peak at rank 8, where the exponent columns hold it.
+        # peak at rank 8, where the exponent columns held it.
         sv = make_schmidt(probs)
         ls, _, peak = _traced_build(sv, n)
         estimate = _build_bytes(ls.num_levels, n, sv.rank)

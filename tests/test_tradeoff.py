@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from concrec import (
+    brute_force_fidelity,
     concentration_fidelity,
     delta_curve,
     dilution_fidelity,
@@ -27,6 +28,7 @@ from concrec import (
     make_schmidt,
     max_recoverable,
     mcre,
+    nmax_approx,
     power_spectrum,
     prefix_mass,
     recoverable_points,
@@ -34,7 +36,7 @@ from concrec import (
 )
 from concrec.asymptotics import profile
 from concrec.conversion import concentration_fidelity, dilution_fidelity
-from concrec.errors import CountExceedsTotal, InvalidEpsilon, InvalidRange
+from concrec.errors import CountExceedsTotal, InvalidDimension, InvalidEpsilon, InvalidRange
 from concrec import conversion, spectrum
 from concrec.spectrum import _HEAD
 
@@ -278,6 +280,24 @@ def test_numpy_integers_read_as_ints_and_floats_are_refused():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize(
+    "call, good, fraction, below, error",
+    [
+        (lambda L: dilution_fidelity(power_spectrum(make_schmidt([0.1, 0.9]), 20), L), 3, 0.5, 0, InvalidDimension),
+        (lambda n: nmax_approx(make_schmidt([0.1, 0.9]), n, 0.1), 3000, 3000.5, -4, InvalidRange),
+        (lambda L: brute_force_fidelity([0.9, 0.1], L), 2, 2.0, 0, InvalidDimension),
+    ],
+)
+def test_counts_and_dimensions_pass_through_operator_index(call, good, fraction, below, error):
+    # A numpy integer reads as the plain int, a float raises TypeError, and
+    # an integer below the range raises the library's own error.
+    assert call(np.int64(good)) == call(good)
+    with pytest.raises(TypeError):
+        call(fraction)
+    with pytest.raises(error):
+        call(below)
 
 
 @pytest.mark.parametrize("n", [400, 3000])
