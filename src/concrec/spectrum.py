@@ -77,7 +77,11 @@ the count read, and a head becomes the full build.  The conversions read
 the spectrum through these queries and one more, ``_flatten_split``, the
 optimal flatten cut for a target dimension with the log2 gap from the
 dimension to the cut's start.  No other module reads a level start, so how
-a start is held, as an exact integer or a certified bound, is decided here.
+a start is held is decided here.  Every spectrum holds its starts in one
+column, ``_Starts``, of certified bounds that the queries read: a ladder's
+are packed P-bit bounds, as below, and a full build's are its exact starts,
+bounds of width 0.  Only ``_full_spectrum``'s storage knows that a start
+can be held exactly.
 
 *Certified counts.*  Partial spectra and heads run their ladder on a P-bit
 mantissa and an exponent, P = ``_MANTISSA``.  Each step multiplies the
@@ -116,7 +120,8 @@ tried, up to n = 1e5.  ``math.comb(n, k)`` must lie in the interval of each
 ladder's last count.
 
 A ladder spectrum thus holds no count of n bits: its ``starts`` are exact
-only when read (see :class:`LeveledSpectrum`).  The ladder needs the float
+only when read (see :class:`LeveledSpectrum`).  A full build's bounds have
+width 0, so every read of it is decided and none counts.  The ladder needs the float
 eigenvalues to strictly decrease along it, over every level, not only those
 it builds.  They do where the step log2(a / b) exceeds twice the rounding
 error of any eigenvalue: each is two products and a sum, each rounded, of
@@ -212,23 +217,26 @@ class SchmidtVector:
             raise NotNormalized("entries must sum to 1 within 1e-12")
 
 
-class _LadderStarts(Sequence[int]):
-    """The level starts of a ladder spectrum: exact when read, and held as
-    the certified bounds that the library's reads use (see the module
+class _Starts(Sequence[int]):
+    """The level starts of a spectrum: exact when read, and held as the
+    certified bounds that the library's reads use (see the module
     docstring).
 
     ``lo[k]`` packs the lower bound m 2^e of start k as e 2^bits + m, so that
     integer order is the order of the bounds.  ``known`` holds the exact
     starts counted so far, from level 0 up, and the exact count of the
-    highest of those levels.  A read past them counts on from there into a
-    new list and publishes it, with its count, in one assignment, so a
-    concurrent read sees one pair or the other, and threads that count the
-    same levels publish equal values.  The cut ``[:stop]`` that
-    ``_assemble`` makes is again a ladder's starts; any other slice is a
-    tuple of exact starts.
+    highest of those levels.  A ladder's read past them counts on from there
+    into a new list and publishes it, with its count, in one assignment, so
+    a concurrent read sees one pair or the other, and threads that count the
+    same levels publish equal values.  A full build knows every start: its
+    bounds have width 0, ``bits`` is the bit length of its total, so each
+    start packs as itself, and one tuple of exact starts serves as ``lo``
+    and as the known starts.  The cut ``[:stop]`` that ``_assemble`` makes
+    is again a column of starts; any other slice is a tuple of exact starts.
+    Iteration and ``==`` against any sequence read the exact starts.
     """
 
-    def __init__(self, n: int, bits: int, lo: list[int], known: tuple[list[int], int]):
+    def __init__(self, n: int, bits: int, lo: Sequence[int], known: tuple[Sequence[int], int]):
         self.n, self.bits, self.lo, self.known = n, bits, lo, known
 
     def __len__(self) -> int:
@@ -237,19 +245,22 @@ class _LadderStarts(Sequence[int]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             if i.start is None and i.step is None:
-                return _LadderStarts(self.n, self.bits, self.lo[i], self.known)
+                return _Starts(self.n, self.bits, self.lo[i], self.known)
             return tuple(self)[i]
-        if i < 0:
-            i += len(self.lo)
-        if not 0 <= i < len(self.lo):
-            raise IndexError("level start index out of range")
+        i = range(len(self.lo))[i]
         return self.exact(i)[0][i]
 
-    def exact(self, i: int) -> tuple[list[int], int]:
+    def __iter__(self):
+        return itertools.islice(self.exact(len(self.lo) - 1)[0], len(self.lo))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, Sequence) else NotImplemented
+
+    def exact(self, i: int) -> tuple[Sequence[int], int]:
         """``known``, counted on to level ``i`` where it stops below it."""
         starts, count = self.known
         if i >= len(starts):
-            starts, start = starts.copy(), starts[-1]
+            starts, start = list(starts), starts[-1]
             for level in range(len(starts) - 1, i):
                 start += count
                 count = count * (self.n - level) // (level + 1)
@@ -265,9 +276,8 @@ class _LadderStarts(Sequence[int]):
 
     def bound(self, j: int) -> tuple[int, int, int]:
         """(e, m, w) such that start ``j`` lies in [m 2^e, (m + w) 2^e]."""
-        packed = self.lo[j]
-        e = packed >> self.bits
-        return e, packed & ((1 << self.bits) - 1), 8 * j if e else 0
+        e = self.lo[j] >> self.bits
+        return (e, self.lo[j] & ((1 << self.bits) - 1), 8 * j) if e else (0, self.lo[j], 0)
 
 
 def _log2_between(x: int, y: int, e: int) -> Optional[float]:
@@ -282,7 +292,7 @@ def _log2_between(x: int, y: int, e: int) -> Optional[float]:
     return None
 
 
-def _split(starts: Sequence[int], count: int) -> tuple[int, float]:
+def _split(starts: _Starts, count: int) -> tuple[int, float]:
     """The last level i with ``starts[i] <= count``, for count >= 0, which
     holds entry count + 1, and the gap ``_compare(starts, i, count)[1]``.
 
@@ -294,16 +304,14 @@ def _split(starts: Sequence[int], count: int) -> tuple[int, float]:
     C(n, k) for k < i, is at most i C(n, i - 1).  With e > 0 the mantissa m
     has P bits, so 2^e <= S_i 2^(1-P), and the interval's width 8i 2^e is at
     most 16 i^2 C(n, i - 1) 2^-P, below C(n, i - 1) while 16 i^2 < 2^P.  (With
-    e = 0 the bound is exact, and S_i <= count.)  So from m 2^e <= count <
+    e = 0 the bound is exact, and S_i <= count: bounds of width 0, as all of
+    a full build's are, never step back.)  So from m 2^e <= count <
     S_i follows S_(i-1) = S_i - C(n, i - 1) <= count.  For the same reason a
     ladder that stops where the lower bound of S_i passes count - 1, as a
     partial build and ``extend_spectrum`` do, holds at most one level past
     the first that holds the count: where S_i holds it but its lower bound
     does not, the lower bound of S_(i+1) lies above S_(i+1) - C(n, i) = S_i.
     """
-    if not isinstance(starts, _LadderStarts):
-        i = bisect_right(starts, count) - 1
-        return i, _compare(starts, i, count)[1]
     i = bisect_right(starts.lo, starts.pack(count)) - 1
     at_most, log2 = _compare(starts, i, count)
     if at_most:
@@ -311,11 +319,11 @@ def _split(starts: Sequence[int], count: int) -> tuple[int, float]:
     return i - 1, _compare(starts, i - 1, count)[1]
 
 
-def _compare(starts: Sequence[int], j: int, count: int) -> tuple[bool, float]:
+def _compare(starts: _Starts, j: int, count: int) -> tuple[bool, float]:
     """Whether ``starts[j] <= count``, and ``log2_int(abs(count - starts[j]))``
     or -inf where they are equal, from the start's certified bound (an exact
     start is a bound of width 0) where that decides both, else exactly."""
-    e, m, w = starts.bound(j) if isinstance(starts, _LadderStarts) else (0, starts[j], 0)
+    e, m, w = starts.bound(j)
     q = (count >> e) - m  # count - starts[j] where the bound is exact, w = 0
     if w:
         # count - starts[j] lies in [(q - w) 2^e, (q + 1) 2^e) where q > 0, and
@@ -358,11 +366,13 @@ class LeveledSpectrum:
     ``starts`` holds exact counts with a leading 0: level ``i`` covers the
     sorted entries ``starts[i] .. starts[i+1] - 1``, so its multiplicity is
     ``starts[i+1] - starts[i]`` and ``starts[-1]`` is the total count.  It
-    is a tuple, except for a partial spectrum or a head, whose ladder holds
-    certified bounds on the starts (see the module docstring).  Counting is
-    exact where an integer is output or a bound cannot decide: every start
-    read from ``starts`` is counted exactly, from level 0 up, on first read,
-    while the queries below read the bounds where they decide.
+    is one column, ``_Starts``, for every spectrum: certified bounds on the
+    starts, of width 0 for a full build, whose starts are exact, and packed
+    from a partial spectrum's or a head's ladder (see the module docstring).
+    A plain sequence of exact starts given here becomes such a column.
+    Counting is exact where an integer is output or a bound cannot decide:
+    every start read from ``starts`` is exact, counted from level 0 up on
+    first read, while the queries below read the bounds where they decide.
     ``prefix_log2_mass[i]`` is log2 of the total eigenvalue mass of levels
     ``0..i``; ``prefix_log2_sqrt_mass`` holds the analogous sums of square
     roots of eigenvalues.  ``suffix_log2_mass`` has one trailing ``-inf``
@@ -396,13 +406,16 @@ class LeveledSpectrum:
 
     base: SchmidtVector
     copies: int
-    starts: Sequence[int]
+    starts: _Starts
     log2_eigenvalues: np.ndarray
     prefix_log2_mass: np.ndarray
     prefix_log2_sqrt_mass: Optional[np.ndarray]
     suffix_log2_mass: Optional[np.ndarray]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.starts, _Starts):  # exact starts: bounds of width 0
+            lo = tuple(self.starts)
+            object.__setattr__(self, "starts", _Starts(self.copies, lo[-1].bit_length(), lo, (lo, 0)))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -669,6 +682,8 @@ def extend_spectrum(ls: LeveledSpectrum, count: int) -> LeveledSpectrum:
     back complete where that builds in full, and a head in full.
     """
     count = operator.index(count)
+    if count < 0:
+        raise ValueError("count must be non-negative")
     if ls.complete or ls.starts.lo[-1] > ls.starts.pack(count - 1):
         return ls
     return power_spectrum(ls.base, ls.copies, count if ls.suffix_log2_mass is None else None)
@@ -692,7 +707,7 @@ def _leading_levels(sv: SchmidtVector, n: int, count: int) -> Optional[LeveledSp
     # along the ladder; the full build sorts them instead.
     if not la - lb > 2.0**-49 * n * -lb or not head and count >= 1 << n:
         return None
-    starts = _LadderStarts(n, _MANTISSA, [0], ([0], 1))
+    starts = _Starts(n, _MANTISSA, [0], ([0], 1))
     ce, cm, sm = 0, 1, 0  # level 0: its count 1, and start 0
     bits, lo, k = starts.bits, starts.lo, 0
     # A count with ce > 0 has exactly bits bits; its interval's ends share the

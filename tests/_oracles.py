@@ -258,7 +258,7 @@ def short_mantissa(bits: int = 60):
     those reads count exactly.  Yields the levels counted exactly, one entry
     per exact read."""
     counted = []
-    real = spectrum._LadderStarts.exact
+    real = spectrum._Starts.exact
 
     def exact(self, i):
         counted.append(i)
@@ -266,7 +266,7 @@ def short_mantissa(bits: int = 60):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectrum, "_MANTISSA", bits)
-        mp.setattr(spectrum._LadderStarts, "exact", exact)
+        mp.setattr(spectrum._Starts, "exact", exact)
         yield counted
 
 

@@ -126,6 +126,35 @@ class TestFig:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "7d738fd8f24e59aaee2526503831b10479d4b05a34352794590dd645fe659d7f"
 
+    @pytest.mark.parametrize(
+        "probs, n, stop, expected",
+        [
+            # The rank-3 bench state: 45,451 levels up to 3^300, about 2^476.
+            (
+                (0.530749, 0.292372, 0.176879),
+                300,
+                491,
+                "142d6c483a00a9837051dd91f12ade0435f13f69a52697cac383e039dde3b223",
+            ),
+            # Rank 4 with a group of three equal entries, up to 4^40 = 2^80.
+            (
+                (0.4, 0.2, 0.2, 0.2),
+                40,
+                92,
+                "a4e97e6d1aa14dd9596b614447971cd79b2283aec019df06ad74105dbd57b24f",
+            ),
+        ],
+    )
+    def test_full_build_conversions_are_pinned(self, probs, n, stop, expected):
+        # Every 7th m, past the total: the exact cut J of a full build at
+        # rank >= 3, and the dilution mass at the same dimensions.
+        ls = concrec.power_spectrum(make_schmidt(probs), n)
+        text = "\n".join(
+            f"{concentration_fidelity(ls, 1 << m)!r} {concrec.dilution_fidelity(ls, 1 << m)!r}"
+            for m in range(1, stop, 7)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
+
     def test_fig5_reference_point(self, tmp_path):
         eps = 2.0 * 0.5 * math.erfc(1.0 / math.sqrt(2.0))
         out = tmp_path / "fig5.csv"

@@ -702,6 +702,58 @@ def test_certified_reads_equal_exact_arithmetic(p, n, log2_count, bits):
         assert steps
 
 
+@pytest.mark.parametrize(
+    "probs, n", [((0.9, 0.1), 200), ((0.5, 0.3, 0.2), 60), ((0.4, 0.3, 0.3), 60), ((0.4, 0.2, 0.2, 0.2), 40)]
+)
+def test_certified_reads_of_full_builds_equal_exact_arithmetic(probs, n):
+    # The reads of test_certified_reads_equal_exact_arithmetic, and the
+    # flatten split, on full builds, against the same arithmetic on the exact
+    # starts.  A full build's bounds have width 0, so none of these reads
+    # counts a start: the bisection of the bounds is the exact one, and the
+    # split never steps back.  The qubit is read on both
+    # sides of its count peak at level n // 2; (0.4, 0.3, 0.3) ties two
+    # entries and (0.4, 0.2, 0.2, 0.2) three.  The counts sit at every start
+    # +- 2, at every power of two, at 0, at the total and past it.
+    ls = power_spectrum(make_schmidt(probs), n)
+    exact = tuple(ls.starts)
+    total, k = exact[-1], len(exact) - 1
+    counts = {s + d for s in exact for d in range(-2, 3)} | {0, total, total + 1, 2 * total}
+    counts.update(1 << b for b in range(total.bit_length() + 1))
+    suffix, eigs = ls.suffix_log2_mass.tolist(), ls.log2_eigenvalues.tolist()
+
+    def gap(j, c):
+        return log2_int(abs(c - exact[j])) if c != exact[j] else NEG_INF
+
+    def condition(i, c):
+        return suffix[i] - log2_int(c - exact[i]) >= eigs[i]
+
+    with short_mantissa() as counted:
+        for c in sorted(c for c in counts if c >= 0):
+            i = bisect_right(exact, c) - 1
+            assert spectrum._split(ls.starts, c) == (i, gap(i, c)), c
+            for j in {max(i - 1, 0), i, min(i + 1, k)}:
+                assert spectrum._compare(ls.starts, j, c) == (exact[j] <= c, gap(j, c)), (j, c)
+            if c:
+                i_max = bisect_right(exact, c - 1) - 1
+                j = bisect_left(range(i_max), True, key=lambda i: condition(i, c))
+                assert spectrum._flatten_split(ls, c) == (j, gap(j, c)), c
+    assert not counted
+
+
+def test_every_spectrum_holds_one_start_column():
+    sv = make_schmidt([0.9, 0.1])
+    full = power_spectrum(sv, 300)
+    spectra = [
+        full,
+        power_spectrum(sv, 300, _HEAD),
+        power_spectrum(sv, 300, 1 << 60),
+        reference_power_spectrum(sv, 300),  # built from a tuple of exact starts
+    ]
+    assert [ls.complete for ls in spectra] == [True, False, False, True]
+    assert {type(ls.starts) for ls in spectra} == {spectrum._Starts}
+    assert spectra[-1].starts == full.starts == tuple(full.starts)
+
+
 @pytest.mark.parametrize("p, n, log2_count", _LADDERS)
 def test_ladders_stop_and_grow_on_lower_bounds(p, n, log2_count, monkeypatch):
     # At the library's mantissa a partial build stops, and extend_spectrum
@@ -720,7 +772,9 @@ def test_ladders_stop_and_grow_on_lower_bounds(p, n, log2_count, monkeypatch):
     def refuse(self, i):
         raise AssertionError(f"start {i} counted exactly")
 
-    monkeypatch.setattr(spectrum._LadderStarts, "exact", refuse)
+    monkeypatch.setattr(spectrum._Starts, "exact", refuse)
+    with pytest.raises(ValueError):  # a negative count, as every count read
+        extend_spectrum(ls, -5)
     for c in sorted({s + d for s in exact for d in range(-2, 3)} - {-2, -1, 0}):
         fewest = bisect_left(exact, c)  # S_fewest >= c, also past the last start
         part = power_spectrum(sv, n, c)

@@ -416,7 +416,7 @@ def test_the_search_counts_no_start_exactly(monkeypatch, p, n, expected):
     def full(sv, copies):
         raise AssertionError(f"full build at n = {copies}")
 
-    monkeypatch.setattr(spectrum._LadderStarts, "exact", refused)
+    monkeypatch.setattr(spectrum._Starts, "exact", refused)
     monkeypatch.setattr(spectrum, "_full_spectrum", full)
     sv = make_schmidt([p, 1.0 - p])
     if n == 3000:
